@@ -10,6 +10,7 @@
 #include "core/scoring.hpp"
 #include "gpualgo/scan.hpp"
 #include "gpualgo/segsort.hpp"
+#include "simt/occupancy.hpp"
 #include "util/fault.hpp"
 
 namespace repro::core {
@@ -271,59 +272,62 @@ DetectionResult launch_hit_detection(simt::Engine& engine,
 // K2: hit assembling
 // --------------------------------------------------------------------------
 
+namespace {
+
+/// The K2-K4 launch shape: one warp per bin, grid-stride over 128-thread
+/// blocks. Bin extents are read host-side, warp-uniform.
+simt::LaunchConfig warp_per_bin_launch(const simt::Engine& engine,
+                                       const char* name,
+                                       std::size_t total_bins,
+                                       int regs_per_thread) {
+  simt::LaunchConfig cfg;
+  cfg.name = name;
+  cfg.block_threads = 128;
+  cfg.grid_blocks =
+      simt::grid_stride_blocks(engine.spec(), total_bins, cfg.block_threads);
+  cfg.regs_per_thread = regs_per_thread;
+  return cfg;
+}
+
+}  // namespace
+
 AssembledBins launch_assemble(simt::Engine& engine, const BinGrid& bins) {
   const std::size_t total_bins = bins.total_bins();
 
-  // Pad every bin to a power of two for the bitonic segmented sort.
-  std::vector<std::uint32_t> padded(total_bins);
-  for (std::size_t b = 0; b < total_bins; ++b) {
-    const std::uint32_t n = std::min(bins.counts[b], bins.capacity);
-    padded[b] = n == 0 ? 0 : gpualgo::next_pow2(n);
-  }
   AssembledBins out;
-  out.offsets = gpualgo::exclusive_scan_device(engine, padded, kKernelScan);
+  out.counts.reserve(total_bins);
+  for (std::size_t b = 0; b < total_bins; ++b)
+    out.counts.push_back(std::min(bins.counts[b], bins.capacity));
+  out.offsets =
+      gpualgo::exclusive_scan_device(engine, out.counts, kKernelScan);
   out.hits.resize(out.offsets.back());
-  out.counts.resize(total_bins);
 
-  simt::LaunchConfig cfg;
-  cfg.name = kKernelAssemble;
-  cfg.grid_blocks = static_cast<int>(total_bins);
-  cfg.block_threads = 128;
-  cfg.regs_per_thread = 16;
-
+  const simt::LaunchConfig cfg =
+      warp_per_bin_launch(engine, kKernelAssemble, total_bins, 16);
   engine.launch(cfg, [&](BlockCtx& ctx) {
-    const auto b = static_cast<std::size_t>(ctx.block_id());
-    const std::uint32_t n = std::min(bins.counts[b], bins.capacity);
-    out.counts[b] = n;
-    const std::uint32_t p = padded[b];
-    if (p == 0) return;
-    const std::uint64_t src_base = b * bins.capacity;
-    const std::uint32_t dst_base = out.offsets[b];
-
     ctx.par([&](WarpExec& w) {
-      const auto stride = static_cast<std::uint32_t>(w.warps_per_block()) * 32;
-      LaneArray<std::uint32_t> i{};
-      w.vec([&](int lane) {
-        i[lane] = static_cast<std::uint32_t>(w.warp_in_block()) * 32 +
-                  static_cast<std::uint32_t>(lane);
-      });
-      w.loop_while([&](int lane) { return i[lane] < p; }, [&] {
-        LaneArray<std::uint64_t> v{};
-        w.if_then_else(
-            [&](int lane) { return i[lane] < n; },
-            [&] {
-              LaneArray<std::uint64_t> src{};
-              w.vec([&](int lane) { src[lane] = src_base + i[lane]; });
-              w.gather(bins.slots.data(), src, v);
-            },
-            [&] {
-              w.vec([&](int lane) { v[lane] = gpualgo::kSortPad; });
-            });
-        LaneArray<std::uint32_t> dst{};
-        w.vec([&](int lane) { dst[lane] = dst_base + i[lane]; });
-        w.scatter(out.hits.data(), dst, v);
-        w.vec([&](int lane) { i[lane] += stride; });
-      });
+      const auto stride = static_cast<std::size_t>(w.num_warps_total());
+      for (auto b = static_cast<std::size_t>(w.global_warp_id());
+           b < total_bins; b += stride) {
+        const std::uint32_t n = out.counts[b];
+        if (n == 0) continue;
+        const std::uint64_t src_base = b * bins.capacity;
+        const std::uint32_t dst_base = out.offsets[b];
+        LaneArray<std::uint32_t> i{};
+        w.vec([&](int lane) { i[lane] = static_cast<std::uint32_t>(lane); });
+        w.loop_while([&](int lane) { return i[lane] < n; }, [&] {
+          LaneArray<std::uint64_t> src{};
+          LaneArray<std::uint32_t> dst{};
+          LaneArray<std::uint64_t> v{};
+          w.vec([&](int lane) {
+            src[lane] = src_base + i[lane];
+            dst[lane] = dst_base + i[lane];
+          });
+          w.gather(bins.slots.data(), src, v);
+          w.scatter(out.hits.data(), dst, v);
+          w.vec([&](int lane) { i[lane] += 32; });
+        });
+      }
     });
   });
 
@@ -344,6 +348,60 @@ void launch_sort(simt::Engine& engine, AssembledBins& assembled) {
 // K4: hit filtering + segment indexing
 // --------------------------------------------------------------------------
 
+namespace {
+
+/// One warp's in-order compaction of a bin's n sorted hits, 32 at a time.
+/// Each hit meets its left neighbour through shfl_up — lane 0 through the
+/// previous chunk's lane 31 — and keep(cur, left, has_left) decides it.
+/// Kept lanes call emit(dst, i, cur) with dst = base + their rank among the
+/// kept. Returns the number kept.
+template <class Keep, class Emit>
+std::uint32_t compact_bin(WarpExec& w, const std::uint64_t* hits,
+                          std::uint32_t base, std::uint32_t n, Keep&& keep,
+                          Emit&& emit) {
+  std::uint32_t kept_total = 0;
+  LaneArray<std::uint64_t> cur{};
+  for (std::uint32_t i0 = 0; i0 < n; i0 += 32) {
+    LaneArray<std::uint64_t> carry = cur;
+    if (i0 > 0) w.shfl_xor(carry, 31);  // lane 31 -> lane 0
+    LaneArray<std::uint32_t> i{};
+    LaneArray<std::uint32_t> idx{};
+    w.vec([&](int lane) {
+      i[lane] = i0 + static_cast<std::uint32_t>(lane);
+      idx[lane] = base + i[lane];
+    });
+    if (i0 + 32 <= n)
+      w.gather(hits, idx, cur);
+    else
+      w.if_then([&](int lane) { return i[lane] < n; },
+                [&] { w.gather(hits, idx, cur); });
+    LaneArray<std::uint64_t> left = cur;
+    w.shfl_up(left, 1);
+
+    LaneArray<std::uint8_t> take{};
+    w.vec([&](int lane) {
+      const std::uint64_t prev = lane == 0 ? carry[lane] : left[lane];
+      take[lane] = i[lane] < n && keep(cur[lane], prev, i[lane] > 0) ? 1 : 0;
+    });
+    const Mask kept = w.ballot([&](int lane) { return take[lane] != 0; });
+    if (kept == 0) continue;
+    // Exclusive rank from the ballot mask (the __popc idiom).
+    w.if_then([&](int lane) { return ((kept >> lane) & 1u) != 0; }, [&] {
+      LaneArray<std::uint32_t> dst{};
+      w.vec([&](int lane) {
+        dst[lane] = base + kept_total +
+                    static_cast<std::uint32_t>(
+                        std::popcount(kept & ((Mask{1} << lane) - 1u)));
+      });
+      emit(dst, i, cur);
+    });
+    kept_total += static_cast<std::uint32_t>(std::popcount(kept));
+  }
+  return kept_total;
+}
+
+}  // namespace
+
 FilteredBins launch_filter(simt::Engine& engine, const Config& config,
                            const AssembledBins& assembled) {
   const std::size_t total_bins = assembled.counts.size();
@@ -357,141 +415,51 @@ FilteredBins launch_filter(simt::Engine& engine, const Config& config,
   const auto window =
       static_cast<std::uint32_t>(config.params.two_hit_window);
   const bool one_hit = config.params.one_hit;
-
-  simt::LaunchConfig cfg;
-  cfg.name = kKernelFilter;
-  cfg.grid_blocks = static_cast<int>(total_bins);
-  cfg.block_threads = 32;
-  cfg.regs_per_thread = 24;
+  const simt::LaunchConfig cfg =
+      warp_per_bin_launch(engine, kKernelFilter, total_bins, 24);
 
   // Pass 1: the two-hit filter (paper Fig. 6c): a hit survives iff its left
   // neighbour is on the same (seq, diagonal) and within the window.
   engine.launch(cfg, [&](BlockCtx& ctx) {
-    const auto b = static_cast<std::size_t>(ctx.block_id());
-    const std::uint32_t n = assembled.counts[b];
-    const std::uint32_t base = assembled.offsets[b];
     ctx.par([&](WarpExec& w) {
-      std::uint32_t cursor = 0;
-      for (std::uint32_t i0 = 0; i0 < n; i0 += 32) {
-        LaneArray<std::uint32_t> i{};
-        LaneArray<std::uint64_t> cur{};
-        LaneArray<std::uint64_t> prev{};
-        LaneArray<std::uint8_t> keep{};
-        w.vec([&](int lane) {
-          i[lane] = i0 + static_cast<std::uint32_t>(lane);
-        });
-        w.if_then(
-            [&](int lane) { return i[lane] < n; },
-            [&] {
-              LaneArray<std::uint32_t> idx{};
-              w.vec([&](int lane) { idx[lane] = base + i[lane]; });
-              w.gather(assembled.hits.data(), idx, cur);
-              w.if_then(
-                  [&](int lane) { return i[lane] > 0; },
-                  [&] {
-                    LaneArray<std::uint32_t> pidx{};
-                    w.vec([&](int lane) { pidx[lane] = base + i[lane] - 1; });
-                    w.gather(assembled.hits.data(), pidx, prev);
-                  });
-              w.vec([&](int lane) {
-                if (i[lane] == 0) {
-                  keep[lane] = one_hit ? 1 : 0;
-                  return;
-                }
-                const bool same_segment =
-                    segment_key(cur[lane]) == segment_key(prev[lane]);
-                if (one_hit) {
-                  keep[lane] = 1;
-                  return;
-                }
-                keep[lane] =
-                    same_segment && hit_spos(cur[lane]) -
-                                            hit_spos(prev[lane]) <=
-                                        window
-                        ? 1
-                        : 0;
-              });
-            });
-
-        // Warp compaction: survivors append in order.
-        LaneArray<std::uint32_t> rank{};
-        w.vec([&](int lane) {
-          rank[lane] = (i[lane] < n && keep[lane] != 0) ? 1u : 0u;
-        });
-        const Mask kept = w.ballot([&](int lane) { return rank[lane] != 0; });
-        w.window_inclusive_scan(rank, 32);
-        w.if_then(
-            [&](int lane) { return ((kept >> lane) & 1u) != 0; },
-            [&] {
-              LaneArray<std::uint32_t> dst{};
-              w.vec([&](int lane) {
-                dst[lane] = base + cursor + rank[lane] - 1;
-              });
+      const auto stride = static_cast<std::size_t>(w.num_warps_total());
+      for (auto b = static_cast<std::size_t>(w.global_warp_id());
+           b < total_bins; b += stride) {
+        out.counts[b] = compact_bin(
+            w, assembled.hits.data(), assembled.offsets[b],
+            assembled.counts[b],
+            [&](std::uint64_t cur, std::uint64_t left, bool has_left) {
+              return one_hit ||
+                     (has_left && segment_key(cur) == segment_key(left) &&
+                      hit_spos(cur) - hit_spos(left) <= window);
+            },
+            [&](const LaneArray<std::uint32_t>& dst,
+                const LaneArray<std::uint32_t>&,
+                const LaneArray<std::uint64_t>& cur) {
               w.scatter(out.hits.data(), dst, cur);
             });
-        cursor += static_cast<std::uint32_t>(std::popcount(kept));
       }
-      out.counts[b] = cursor;
     });
   });
 
   // Pass 2: segment indexing over the survivors — start positions of each
   // (seq, diagonal) run, consumed by the extension kernels.
   engine.launch(cfg, [&](BlockCtx& ctx) {
-    const auto b = static_cast<std::size_t>(ctx.block_id());
-    const std::uint32_t n = out.counts[b];
-    const std::uint32_t base = out.offsets[b];
     ctx.par([&](WarpExec& w) {
-      std::uint32_t cursor = 0;
-      for (std::uint32_t i0 = 0; i0 < n; i0 += 32) {
-        LaneArray<std::uint32_t> i{};
-        LaneArray<std::uint8_t> is_start{};
-        w.vec([&](int lane) {
-          i[lane] = i0 + static_cast<std::uint32_t>(lane);
-        });
-        w.if_then(
-            [&](int lane) { return i[lane] < n; },
-            [&] {
-              LaneArray<std::uint64_t> cur{};
-              LaneArray<std::uint64_t> prev{};
-              LaneArray<std::uint32_t> idx{};
-              w.vec([&](int lane) { idx[lane] = base + i[lane]; });
-              w.gather(out.hits.data(), idx, cur);
-              w.if_then(
-                  [&](int lane) { return i[lane] > 0; },
-                  [&] {
-                    LaneArray<std::uint32_t> pidx{};
-                    w.vec([&](int lane) { pidx[lane] = base + i[lane] - 1; });
-                    w.gather(out.hits.data(), pidx, prev);
-                  });
-              w.vec([&](int lane) {
-                is_start[lane] =
-                    (i[lane] == 0 ||
-                     segment_key(cur[lane]) != segment_key(prev[lane]))
-                        ? 1
-                        : 0;
-              });
-            });
-
-        LaneArray<std::uint32_t> rank{};
-        w.vec([&](int lane) {
-          rank[lane] = (i[lane] < n && is_start[lane] != 0) ? 1u : 0u;
-        });
-        const Mask starts =
-            w.ballot([&](int lane) { return rank[lane] != 0; });
-        w.window_inclusive_scan(rank, 32);
-        w.if_then(
-            [&](int lane) { return ((starts >> lane) & 1u) != 0; },
-            [&] {
-              LaneArray<std::uint32_t> dst{};
-              w.vec([&](int lane) {
-                dst[lane] = base + cursor + rank[lane] - 1;
-              });
+      const auto stride = static_cast<std::size_t>(w.num_warps_total());
+      for (auto b = static_cast<std::size_t>(w.global_warp_id());
+           b < total_bins; b += stride) {
+        out.seg_counts[b] = compact_bin(
+            w, out.hits.data(), out.offsets[b], out.counts[b],
+            [](std::uint64_t cur, std::uint64_t left, bool has_left) {
+              return !has_left || segment_key(cur) != segment_key(left);
+            },
+            [&](const LaneArray<std::uint32_t>& dst,
+                const LaneArray<std::uint32_t>& i,
+                const LaneArray<std::uint64_t>&) {
               w.scatter(out.seg_starts.data(), dst, i);
             });
-        cursor += static_cast<std::uint32_t>(std::popcount(starts));
       }
-      out.seg_counts[b] = cursor;
     });
   });
 

@@ -48,18 +48,19 @@ DetectionResult launch_hit_detection(simt::Engine& engine,
                                      SurvivorView survivors = {});
 
 struct AssembledBins {
-  simt::DeviceVector<std::uint64_t> hits;  ///< contiguous, pow2-padded bins
-  std::vector<std::uint32_t> offsets;      ///< total_bins+1 padded offsets
-  simt::DeviceVector<std::uint32_t> counts;  ///< true count per bin
+  simt::DeviceVector<std::uint64_t> hits;  ///< the bins back to back, unpadded
+  std::vector<std::uint32_t> offsets;      ///< total_bins+1 bin starts
+  simt::DeviceVector<std::uint32_t> counts;  ///< hits per bin
   std::uint64_t total_hits = 0;
 };
 
-/// K2: compacts the fixed-capacity bins into one contiguous buffer (block
-/// per bin, coalesced copy), padding each bin to a power of two for the
-/// bitonic segmented sort.
+/// K2: compacts the fixed-capacity bins into one contiguous buffer, each
+/// bin at its true count (warp per bin, coalesced copy). The bin starts
+/// come from a device scan of the counts (kKernelScan).
 AssembledBins launch_assemble(simt::Engine& engine, const BinGrid& bins);
 
-/// K3: sorts every bin by the packed (seq | diagonal | spos) key.
+/// K3: sorts every bin by the packed (seq | diagonal | spos) key (warp per
+/// bin, gpualgo::segmented_sort_u64).
 void launch_sort(simt::Engine& engine, AssembledBins& assembled);
 
 struct FilteredBins {
@@ -74,7 +75,8 @@ struct FilteredBins {
 
 /// K4: two-hit filter — a hit survives iff its left neighbour in the sorted
 /// bin is on the same (sequence, diagonal) within the window A — plus
-/// (seq, diagonal)-segment start indexing for the extension kernels.
+/// (seq, diagonal)-segment start indexing for the extension kernels. Warp
+/// per bin; the left neighbour arrives by shuffle, not a second load.
 FilteredBins launch_filter(simt::Engine& engine, const Config& config,
                            const AssembledBins& assembled);
 

@@ -1,8 +1,15 @@
-// Segmented sort of 64-bit keys, expressed as a SIMT kernel: one block per
-// segment running an in-place bitonic network (the ModernGPU segmented-sort
-// stand-in of DESIGN.md §1). cuBLASTP sorts each hit bin with this; the
-// packed (sequence | diagonal | subject-position) key (paper Fig. 7) makes
-// one ascending sort order the hits for the extension kernels.
+// Segmented sort of 64-bit keys, expressed as a SIMT kernel: one warp per
+// segment over a grid-stride launch (the ModernGPU segmented-sort stand-in
+// of DESIGN.md §1). cuBLASTP sorts each hit bin with this; the packed
+// (sequence | diagonal | subject-position) key (paper Fig. 7) makes one
+// ascending sort order the hits for the extension kernels.
+//
+// Segments of up to 32 keys sort in registers with a bitonic network over
+// WarpExec::shfl_xor. Longer segments run the same network through the
+// warp's shared-memory slice, or in place in global memory when they are
+// too long for it. Segments need no padding: the network treats the keys
+// past a segment's end as +infinity and masks off the comparators that
+// reach them.
 #pragma once
 
 #include <cstdint>
@@ -13,7 +20,8 @@
 
 namespace repro::gpualgo {
 
-/// Sentinel used to pad segments to a power of two; sorts to the end.
+/// The largest key. Callers may still pad segments with it (it sorts to the
+/// end), but segmented_sort_u64 never needs them to.
 inline constexpr std::uint64_t kSortPad = ~0ULL;
 
 /// Next power of two (>= 1).
@@ -24,8 +32,7 @@ inline constexpr std::uint64_t kSortPad = ~0ULL;
 }
 
 /// Sorts each segment of `data` ascending. seg_offsets has num_segments+1
-/// entries; each segment's length must be a power of two (pad with
-/// kSortPad). Segments of length <= 1 are untouched.
+/// entries; segments may have any length (length <= 1 is left untouched).
 void segmented_sort_u64(simt::Engine& engine, std::span<std::uint64_t> data,
                         std::span<const std::uint32_t> seg_offsets,
                         const std::string& kernel_name = "hit_sort");

@@ -5,7 +5,7 @@
 // of the block; consecutive par() calls are separated by an implicit
 // __syncthreads() barrier (warps of a region complete before the next
 // region starts), which is exactly the structure block-cooperative GPU
-// algorithms (e.g. the segmented bitonic sort) need.
+// algorithms (e.g. the tiled prefix scan) need.
 //
 // Kernels and regions are taken as template parameters, not std::function:
 // launch() and par() sit on the hot path of every simulated instruction, so

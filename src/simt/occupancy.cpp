@@ -49,4 +49,14 @@ OccupancyResult compute_occupancy(const DeviceSpec& spec, int block_threads,
   return out;
 }
 
+int grid_stride_blocks(const DeviceSpec& spec, std::size_t items,
+                       int block_threads) {
+  const auto warps_per_block =
+      static_cast<std::size_t>(block_threads / kWarpSize);
+  const auto resident = static_cast<std::size_t>(
+      spec.num_sms * (spec.max_threads_per_sm / block_threads));
+  const std::size_t needed = (items + warps_per_block - 1) / warps_per_block;
+  return static_cast<int>(std::clamp<std::size_t>(needed, 1, resident));
+}
+
 }  // namespace repro::simt

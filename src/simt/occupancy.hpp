@@ -25,4 +25,10 @@ struct OccupancyResult {
                                                 std::size_t shared_bytes,
                                                 int regs_per_thread);
 
+/// Grid of a warp-per-item, grid-stride kernel: one warp per item, capped
+/// at the blocks that fill every SM to its resident-thread limit (the warps
+/// then stride over the remaining items). At least one block.
+[[nodiscard]] int grid_stride_blocks(const DeviceSpec& spec, std::size_t items,
+                                     int block_threads);
+
 }  // namespace repro::simt

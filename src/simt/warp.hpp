@@ -4,8 +4,8 @@
 // per-lane work goes through vec()/gather()/scatter()/atomic ops, control
 // flow through if_then()/loop_while(). The engine executes the 32 lanes of
 // a warp in lockstep (serially, with an active mask) and records, for every
-// warp-level step, how many lanes were active and how many 128-byte memory
-// transactions the lane addresses required. Divergence overhead and global
+// warp-level step, how many lanes were active and how many 32-byte memory
+// sectors the lane addresses required. Divergence overhead and global
 // load efficiency in the paper's Fig. 19 are computed from these traces —
 // measured from the same algorithmic behaviour as on real hardware, not
 // assumed.
@@ -141,7 +141,7 @@ class WarpExec {
 
   // --- global memory -------------------------------------------------------
   /// Gathers base[idx[lane]] for active lanes; counts one load request and
-  /// the distinct 128-byte segments it touches.
+  /// the distinct 32-byte sectors it touches.
   template <class T, class I>
   void gather(const T* base, const LaneArray<I>& idx, LaneArray<T>& out,
               MemKind kind = MemKind::kGlobal) {
@@ -340,6 +340,24 @@ class WarpExec {
       if (lane % width >= delta)
         vals[static_cast<std::size_t>(lane)] =
             prev[static_cast<std::size_t>(lane - delta)];
+    });
+  }
+
+  /// Butterfly shuffle (__shfl_xor_sync): lane i reads lane i ^ lane_mask.
+  /// As on hardware, a lane whose source lies in a later width-lane window
+  /// keeps its own value. The bitonic networks of gpualgo::segmented_sort_u64
+  /// are built from this.
+  template <class T>
+  void shfl_xor(LaneArray<T>& vals, int lane_mask, int width = kWarpSize) {
+    if (check_ != nullptr)
+      check_->on_collective(warp_in_block_, active_, width, "shfl_xor");
+    note_op();
+    LaneArray<T> prev = vals;
+    for_active([&](int lane) {
+      const int src = lane ^ lane_mask;
+      if (src < (lane / width + 1) * width)
+        vals[static_cast<std::size_t>(lane)] =
+            prev[static_cast<std::size_t>(src)];
     });
   }
 

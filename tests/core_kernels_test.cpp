@@ -196,6 +196,58 @@ TEST(SortAndFilter, BinsSortedAndSurvivorsObeyTwoHitRule) {
   EXPECT_EQ(checked, filtered.total_survivors);
 }
 
+TEST(SortAndFilter, LeftNeighbourCrossesChunkBoundaries) {
+  // In a bin longer than a warp, the left neighbour of a chunk's first hit
+  // is the previous chunk's last one. Sorted bins of 1..100 hits on a few
+  // (seq, diagonal) runs, against the scalar two-hit rule and segment
+  // starts.
+  util::Rng rng(41);
+  core::AssembledBins assembled;
+  assembled.offsets.push_back(0);
+  std::vector<std::uint32_t> counts;
+  for (const std::uint32_t n : {1u, 31u, 32u, 33u, 64u, 65u, 100u}) {
+    std::vector<std::uint64_t> bin;
+    for (std::uint32_t i = 0; i < n; ++i)
+      bin.push_back(core::pack_hit(
+          static_cast<std::uint32_t>(rng.below(2)),
+          static_cast<std::int32_t>(rng.below(2)),
+          static_cast<std::uint32_t>(rng.below(1200))));
+    std::sort(bin.begin(), bin.end());
+    assembled.hits.insert(assembled.hits.end(), bin.begin(), bin.end());
+    assembled.offsets.push_back(
+        static_cast<std::uint32_t>(assembled.hits.size()));
+    counts.push_back(n);
+  }
+  assembled.counts.assign(counts.begin(), counts.end());
+
+  const core::Config config = small_kernel_config();
+  const auto window = static_cast<std::uint32_t>(
+      config.params.two_hit_window);
+  simt::Engine engine;
+  const auto filtered = core::launch_filter(engine, config, assembled);
+
+  for (std::size_t b = 0; b < counts.size(); ++b) {
+    const std::uint64_t* hits = assembled.hits.data() + assembled.offsets[b];
+    std::vector<std::uint64_t> survivors;
+    for (std::uint32_t i = 1; i < counts[b]; ++i)
+      if (hits[i] >> 16 == hits[i - 1] >> 16 &&
+          core::hit_spos(hits[i]) - core::hit_spos(hits[i - 1]) <= window)
+        survivors.push_back(hits[i]);
+    std::vector<std::uint32_t> starts;
+    for (std::uint32_t i = 0; i < survivors.size(); ++i)
+      if (i == 0 || survivors[i] >> 16 != survivors[i - 1] >> 16)
+        starts.push_back(i);
+
+    const std::uint32_t base = filtered.offsets[b];
+    ASSERT_EQ(filtered.counts[b], survivors.size()) << "bin " << b;
+    ASSERT_EQ(filtered.seg_counts[b], starts.size()) << "bin " << b;
+    for (std::size_t i = 0; i < survivors.size(); ++i)
+      EXPECT_EQ(filtered.hits[base + i], survivors[i]) << "bin " << b;
+    for (std::size_t s = 0; s < starts.size(); ++s)
+      EXPECT_EQ(filtered.seg_starts[base + s], starts[s]) << "bin " << b;
+  }
+}
+
 TEST(SegmentIndex, StartsMarkSeqDiagBoundaries) {
   PipelineFixture fx(127, 20, 313);
   simt::Engine engine;

@@ -1,6 +1,6 @@
 // Tests for the GPU algorithm primitives: device prefix scan and the
-// segmented bitonic sort, validated against the standard library across
-// randomized sizes (TEST_P sweeps).
+// warp-per-segment bitonic sort, validated against the standard library
+// across randomized sizes (TEST_P sweeps).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -81,36 +81,21 @@ TEST_P(SegsortSweep, EachSegmentSortedAscending) {
   const auto param = GetParam();
   util::Rng rng(param.seed);
 
-  // Build power-of-two padded segments, as the assembling kernel does.
+  // Unpadded segments of random length, as the assembling kernel lays out.
   std::vector<std::uint64_t> data;
   std::vector<std::uint32_t> offsets{0};
-  std::vector<std::vector<std::uint64_t>> reference;
   for (std::size_t s = 0; s < param.num_segments; ++s) {
     const std::size_t n = rng.below(param.max_segment + 1);
-    std::vector<std::uint64_t> seg(n);
-    for (auto& v : seg) v = rng() >> 1;  // below the pad sentinel
-    reference.push_back(seg);
-    const std::uint32_t padded =
-        n == 0 ? 0 : gpualgo::next_pow2(static_cast<std::uint32_t>(n));
-    for (std::size_t i = 0; i < padded; ++i)
-      data.push_back(i < n ? seg[i] : gpualgo::kSortPad);
+    for (std::size_t i = 0; i < n; ++i) data.push_back(rng() >> 1);
     offsets.push_back(static_cast<std::uint32_t>(data.size()));
   }
+  auto expected = data;
+  for (std::size_t s = 0; s < param.num_segments; ++s)
+    std::sort(expected.begin() + offsets[s], expected.begin() + offsets[s + 1]);
 
   simt::Engine engine;
   gpualgo::segmented_sort_u64(engine, data, offsets);
-
-  for (std::size_t s = 0; s < param.num_segments; ++s) {
-    auto expected = reference[s];
-    std::sort(expected.begin(), expected.end());
-    for (std::size_t i = 0; i < expected.size(); ++i)
-      ASSERT_EQ(data[offsets[s] + i], expected[i])
-          << "segment " << s << " index " << i;
-    // Padding must have sorted to the tail.
-    for (std::size_t i = expected.size(); i + offsets[s] < offsets[s + 1];
-         ++i)
-      ASSERT_EQ(data[offsets[s] + i], gpualgo::kSortPad);
-  }
+  EXPECT_EQ(data, expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -120,13 +105,38 @@ INSTANTIATE_TEST_SUITE_P(
                       SegsortCase{100, 16, 5}, SegsortCase{5, 513, 6},
                       SegsortCase{64, 0, 7}, SegsortCase{3, 2048, 8}));
 
-TEST(Segsort, RejectsNonPowerOfTwoSegment) {
-  std::vector<std::uint64_t> data(6, 1);
-  const std::vector<std::uint32_t> offsets = {0, 6};
+// Lengths on both sides of each path: registers (<= 32 keys), the warp's
+// shared-memory slice (<= 1024), and in place in global memory. Keys repeat
+// and include kSortPad itself, which must sort like any other key.
+class SegsortLengthSweep : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(SegsortLengthSweep, SortsUnpaddedSegmentWithDuplicatesAndPadKeys) {
+  const std::uint32_t n = GetParam();
+  util::Rng rng(7000 + n);
+  // The segment sits between two short neighbours that must stay intact.
+  std::vector<std::uint64_t> data;
+  auto append = [&](std::uint32_t len) {
+    for (std::uint32_t i = 0; i < len; ++i) {
+      const std::uint64_t r = rng.below(8);
+      data.push_back(r == 0 ? gpualgo::kSortPad : rng.below(n / 4 + 2));
+    }
+    return static_cast<std::uint32_t>(data.size());
+  };
+  const std::vector<std::uint32_t> offsets = {0, append(5), append(n),
+                                              append(3)};
+  auto expected = data;
+  for (std::size_t s = 0; s + 1 < offsets.size(); ++s)
+    std::sort(expected.begin() + offsets[s], expected.begin() + offsets[s + 1]);
+
   simt::Engine engine;
-  EXPECT_THROW(gpualgo::segmented_sort_u64(engine, data, offsets),
-               std::invalid_argument);
+  gpualgo::segmented_sort_u64(engine, data, offsets, "segsort_len");
+  EXPECT_EQ(data, expected);
 }
+
+INSTANTIATE_TEST_SUITE_P(Lengths, SegsortLengthSweep,
+                         ::testing::Values(0u, 1u, 2u, 31u, 32u, 33u, 64u,
+                                           65u, 1024u, 1025u, 4096u, 4097u,
+                                           5000u));
 
 TEST(Segsort, AlreadySortedStaysSorted) {
   std::vector<std::uint64_t> data(256);
@@ -143,10 +153,7 @@ TEST(Segsort, StressManyRandomSegments) {
   std::vector<std::uint32_t> offsets{0};
   for (int s = 0; s < 300; ++s) {
     const std::size_t n = rng.below(128);
-    const std::uint32_t padded =
-        n == 0 ? 0 : gpualgo::next_pow2(static_cast<std::uint32_t>(n));
-    for (std::size_t i = 0; i < padded; ++i)
-      data.push_back(i < n ? (rng() >> 1) : gpualgo::kSortPad);
+    for (std::size_t i = 0; i < n; ++i) data.push_back(rng() >> 1);
     offsets.push_back(static_cast<std::uint32_t>(data.size()));
   }
   simt::Engine engine;
@@ -154,6 +161,28 @@ TEST(Segsort, StressManyRandomSegments) {
   for (std::size_t s = 0; s + 1 < offsets.size(); ++s)
     EXPECT_TRUE(std::is_sorted(data.begin() + offsets[s],
                                data.begin() + offsets[s + 1]));
+}
+
+TEST(Segsort, OnlyMidLengthSegmentsUseSharedMemory) {
+  // Segments of <= 32 keys never leave registers: no shared memory, so the
+  // launch keeps full occupancy. A longer one takes a slice per warp sized
+  // to it.
+  std::vector<std::uint64_t> data(40 + 100);
+  std::iota(data.rbegin(), data.rend(), 0);
+  simt::Engine engine;
+  gpualgo::segmented_sort_u64(engine, data,
+                              std::vector<std::uint32_t>{0, 20, 40}, "short");
+  const auto& short_only = engine.profile().at("short");
+  EXPECT_EQ(short_only.shared_bytes, 0u);
+  EXPECT_DOUBLE_EQ(short_only.occupancy, 1.0);
+  EXPECT_EQ(short_only.shared_ops, 0u);
+
+  gpualgo::segmented_sort_u64(engine, data,
+                              std::vector<std::uint32_t>{0, 40, 140}, "mid");
+  const auto& mid = engine.profile().at("mid");
+  EXPECT_EQ(mid.shared_bytes, 4 * 100 * sizeof(std::uint64_t));
+  EXPECT_GT(mid.shared_ops, 0u);
+  EXPECT_TRUE(std::is_sorted(data.begin() + 40, data.end()));
 }
 
 TEST(NextPow2, Values) {

@@ -366,6 +366,32 @@ TEST(Warp, ShflUpShiftsWithinWindow) {
     EXPECT_EQ(vals[lane], lane % 8 == 0 ? lane : lane - 1);
 }
 
+TEST(Warp, ShflXorSwapsButterflyPartners) {
+  simt::Engine engine;
+  LaunchConfig config{"shfl_xor", 1, 32, 16};
+  LaneArray<int> pairs{};
+  LaneArray<int> mirrored{};
+  LaneArray<int> windowed{};
+  engine.launch(config, [&](simt::BlockCtx& ctx) {
+    ctx.par([&](simt::WarpExec& w) {
+      w.vec([&](int lane) {
+        pairs[lane] = mirrored[lane] = windowed[lane] = lane;
+      });
+      w.shfl_xor(pairs, 1);
+      w.shfl_xor(mirrored, 31);
+      // Mask 8 at width 8: a source in a later window returns the lane's
+      // own value, one in an earlier window is read (CUDA semantics).
+      w.shfl_xor(windowed, 8, 8);
+    });
+  });
+  for (int lane = 0; lane < 32; ++lane) {
+    EXPECT_EQ(pairs[lane], lane ^ 1);
+    EXPECT_EQ(mirrored[lane], 31 - lane);
+    EXPECT_EQ(windowed[lane], (lane & 8) != 0 ? lane - 8 : lane);
+  }
+  EXPECT_EQ(engine.profile().at("shfl_xor").vec_ops, 4u);
+}
+
 // --- shared memory / launch validation -------------------------------------
 
 TEST(SharedMemory, AllocationAndHighWater) {

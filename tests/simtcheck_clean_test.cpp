@@ -11,6 +11,7 @@
 // not perturb results or any measured metric (bit-identical KernelStats).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -24,6 +25,9 @@
 #include "core/device_data.hpp"
 #include "core/gapped_kernel.hpp"
 #include "core/prefilter.hpp"
+#include "gpualgo/segsort.hpp"
+#include "simt/device_buffer.hpp"
+#include "util/rng.hpp"
 
 namespace repro {
 namespace {
@@ -163,6 +167,32 @@ TEST(SimtCheckClean, GappedAblationKernel) {
       core::launch_gapped_extension_gpu(engine, config, dq, blk, seeds);
   EXPECT_EQ(result.scores.size(), seeds.size());
   EXPECT_EQ(engine.hazards().total, 0u) << engine.hazards().summary();
+}
+
+TEST(SimtCheckClean, SegmentedSortEveryPath) {
+  // One segment per hit_sort path — registers, a shared-memory slice per
+  // warp, in place in global memory — next to each other in every block,
+  // serial and SM-sharded. The small pipeline above only makes short bins.
+  for (const int workers : {1, 4}) {
+    simt::Engine engine;
+    engine.set_simtcheck_enabled(true);
+    engine.set_workers(workers);
+    util::Rng rng(17);
+    std::vector<std::uint32_t> offsets{0};
+    std::vector<std::uint64_t> keys;
+    for (int s = 0; s < 64; ++s) {
+      const std::uint32_t n = s % 8 == 0 ? 1500 : s % 2 == 0 ? 100 : 20;
+      for (std::uint32_t i = 0; i < n; ++i) keys.push_back(rng.below(500));
+      offsets.push_back(static_cast<std::uint32_t>(keys.size()));
+    }
+    simt::DeviceVector<std::uint64_t> data(keys.begin(), keys.end());
+    gpualgo::segmented_sort_u64(engine, data, offsets);
+    EXPECT_EQ(engine.hazards().total, 0u) << engine.hazards().summary();
+    EXPECT_GT(engine.hazards().collectives_checked, 0u);
+    for (std::size_t s = 0; s + 1 < offsets.size(); ++s)
+      EXPECT_TRUE(std::is_sorted(data.begin() + offsets[s],
+                                 data.begin() + offsets[s + 1]));
+  }
 }
 
 TEST(SimtCheckClean, PrefilterKernel) {

@@ -147,6 +147,30 @@ TEST(SimtCheck, DivergentCollectiveDetected) {
   EXPECT_GT(report.collectives_checked, 0u);
 }
 
+TEST(SimtCheck, DivergentShflXorDetected) {
+  auto engine = checked_engine();
+  engine.launch(launch_shape("divergent_shfl_xor", 1, 32),
+                [](simt::BlockCtx& ctx) {
+                  ctx.par([&](simt::WarpExec& w) {
+                    simt::LaneArray<std::uint64_t> keys{};
+                    // Lane 2's butterfly partner (lane 3) is inactive.
+                    w.if_then([](int lane) { return lane < 3; },
+                              [&] { w.shfl_xor(keys, 1); });
+                    // The full-warp butterfly the bitonic sort uses is clean.
+                    w.shfl_xor(keys, 31);
+                  });
+                });
+  const auto& report = engine.hazards();
+  EXPECT_EQ(report.total, 1u);
+  EXPECT_EQ(report.count(simt::HazardKind::kDivergentCollective), 1u);
+  ASSERT_FALSE(report.records.empty());
+  const auto& rec = report.records[0];
+  EXPECT_EQ(rec.kernel, "divergent_shfl_xor");
+  EXPECT_EQ(rec.active_mask, 0x7u);
+  EXPECT_EQ(rec.width, 32);
+  EXPECT_EQ(rec.detail, "shfl_xor");
+}
+
 TEST(SimtCheck, WindowUniformMaskIsNotDivergent) {
   auto engine = checked_engine();
   // Whole windows inactive is the pattern the production kernels use
