@@ -350,16 +350,13 @@ void launch_sort(simt::Engine& engine, AssembledBins& assembled) {
 
 namespace {
 
-/// One warp's in-order compaction of a bin's n sorted hits, 32 at a time.
-/// Each hit meets its left neighbour through shfl_up — lane 0 through the
-/// previous chunk's lane 31 — and keep(cur, left, has_left) decides it.
-/// Kept lanes call emit(dst, i, cur) with dst = base + their rank among the
-/// kept. Returns the number kept.
-template <class Keep, class Emit>
-std::uint32_t compact_bin(WarpExec& w, const std::uint64_t* hits,
-                          std::uint32_t base, std::uint32_t n, Keep&& keep,
-                          Emit&& emit) {
-  std::uint32_t kept_total = 0;
+/// Walks one warp over n sorted hits at hits[base..], 32 per chunk. Lane j
+/// of a chunk holds hit i = i0 + j (lanes past n hold i >= n) and reaches
+/// its left neighbour through left_of(lane): shfl_up, and for lane 0 the
+/// previous chunk's lane 31. visit(i, cur, left_of) decides and writes.
+template <class Visit>
+void walk_sorted(WarpExec& w, const std::uint64_t* hits, std::uint32_t base,
+                 std::uint32_t n, Visit&& visit) {
   LaneArray<std::uint64_t> cur{};
   for (std::uint32_t i0 = 0; i0 < n; i0 += 32) {
     LaneArray<std::uint64_t> carry = cur;
@@ -377,27 +374,19 @@ std::uint32_t compact_bin(WarpExec& w, const std::uint64_t* hits,
                 [&] { w.gather(hits, idx, cur); });
     LaneArray<std::uint64_t> left = cur;
     w.shfl_up(left, 1);
-
-    LaneArray<std::uint8_t> take{};
-    w.vec([&](int lane) {
-      const std::uint64_t prev = lane == 0 ? carry[lane] : left[lane];
-      take[lane] = i[lane] < n && keep(cur[lane], prev, i[lane] > 0) ? 1 : 0;
-    });
-    const Mask kept = w.ballot([&](int lane) { return take[lane] != 0; });
-    if (kept == 0) continue;
-    // Exclusive rank from the ballot mask (the __popc idiom).
-    w.if_then([&](int lane) { return ((kept >> lane) & 1u) != 0; }, [&] {
-      LaneArray<std::uint32_t> dst{};
-      w.vec([&](int lane) {
-        dst[lane] = base + kept_total +
-                    static_cast<std::uint32_t>(
-                        std::popcount(kept & ((Mask{1} << lane) - 1u)));
-      });
-      emit(dst, i, cur);
-    });
-    kept_total += static_cast<std::uint32_t>(std::popcount(kept));
+    visit(i, cur, [&](int lane) { return lane == 0 ? carry[0] : left[lane]; });
   }
-  return kept_total;
+}
+
+/// The lanes set in `mask` store vals to out[base + their rank in mask].
+template <class T>
+void scatter_ranked(WarpExec& w, Mask mask, std::uint32_t base, T* out,
+                    const LaneArray<T>& vals) {
+  w.if_then([&](int lane) { return ((mask >> lane) & 1u) != 0; }, [&] {
+    LaneArray<std::uint32_t> dst{};
+    w.vec([&](int lane) { dst[lane] = base + simt::rank_below(mask, lane); });
+    w.scatter(out, dst, vals);
+  });
 }
 
 }  // namespace
@@ -405,68 +394,135 @@ std::uint32_t compact_bin(WarpExec& w, const std::uint64_t* hits,
 FilteredBins launch_filter(simt::Engine& engine, const Config& config,
                            const AssembledBins& assembled) {
   const std::size_t total_bins = assembled.counts.size();
-  FilteredBins out;
-  out.hits.resize(assembled.hits.size());
-  out.offsets = assembled.offsets;
-  out.counts.resize(total_bins);
-  out.seg_starts.resize(assembled.hits.size());
-  out.seg_counts.resize(total_bins);
-
   const auto window =
       static_cast<std::uint32_t>(config.params.two_hit_window);
   const bool one_hit = config.params.one_hit;
   const simt::LaunchConfig cfg =
       warp_per_bin_launch(engine, kKernelFilter, total_bins, 24);
 
+  // Per bin: survivors in the low word, segments in the high word, scanned
+  // together. Zeroed up front (cudaMemset), so bins without survivors
+  // write nothing.
+  simt::DeviceVector<std::uint64_t> counts(total_bins, 0);
+  // Survivors compacted within their own bin's assembled region.
+  simt::DeviceVector<std::uint64_t> staged(assembled.hits.size());
+
   // Pass 1: the two-hit filter (paper Fig. 6c): a hit survives iff its left
-  // neighbour is on the same (seq, diagonal) and within the window.
+  // neighbour is on the same (seq, diagonal) and within the window. A
+  // survivor starts a segment iff its key differs from the previous
+  // survivor's — the nearest kept lane below it, or for the chunk's first
+  // survivor the last one of earlier chunks, which lane 31 carries.
   engine.launch(cfg, [&](BlockCtx& ctx) {
     ctx.par([&](WarpExec& w) {
       const auto stride = static_cast<std::size_t>(w.num_warps_total());
       for (auto b = static_cast<std::size_t>(w.global_warp_id());
            b < total_bins; b += stride) {
-        out.counts[b] = compact_bin(
-            w, assembled.hits.data(), assembled.offsets[b],
-            assembled.counts[b],
-            [&](std::uint64_t cur, std::uint64_t left, bool has_left) {
-              return one_hit ||
-                     (has_left && segment_key(cur) == segment_key(left) &&
-                      hit_spos(cur) - hit_spos(left) <= window);
-            },
-            [&](const LaneArray<std::uint32_t>& dst,
-                const LaneArray<std::uint32_t>&,
-                const LaneArray<std::uint64_t>& cur) {
-              w.scatter(out.hits.data(), dst, cur);
-            });
+        const std::uint32_t n = assembled.counts[b];
+        const std::uint32_t base = assembled.offsets[b];
+        std::uint32_t kept_total = 0;
+        std::uint32_t segs = 0;
+        LaneArray<std::uint64_t> tail{};
+        walk_sorted(w, assembled.hits.data(), base, n,
+                    [&](const LaneArray<std::uint32_t>& i,
+                        const LaneArray<std::uint64_t>& cur, auto&& left_of) {
+          LaneArray<std::uint8_t> take{};
+          w.vec([&](int lane) {
+            const std::uint64_t left = left_of(lane);
+            const bool paired =
+                i[lane] > 0 && segment_key(cur[lane]) == segment_key(left) &&
+                hit_spos(cur[lane]) - hit_spos(left) <= window;
+            take[lane] = i[lane] < n && (one_hit || paired) ? 1 : 0;
+          });
+          const Mask kept = w.ballot([&](int lane) { return take[lane] != 0; });
+          if (kept == 0) return;
+
+          LaneArray<int> src{};
+          LaneArray<std::uint64_t> prev{};
+          w.vec([&](int lane) {
+            const Mask below = kept & ((Mask{1} << lane) - 1u);
+            src[lane] = below != 0 ? 31 - std::countl_zero(below) : 31;
+            prev[lane] = lane == 31 ? tail[lane] : cur[lane];
+          });
+          w.shfl(prev, src);
+          const Mask starts = w.ballot([&](int lane) {
+            if (((kept >> lane) & 1u) == 0) return false;
+            const bool first =
+                kept_total == 0 && simt::rank_below(kept, lane) == 0;
+            return first || segment_key(cur[lane]) != segment_key(prev[lane]);
+          });
+          // Lane 31 carries the chunk's last survivor to the next chunk.
+          w.vec([&](int lane) {
+            tail[lane] = (kept >> 31) != 0 ? cur[lane] : prev[lane];
+          });
+          scatter_ranked(w, kept, base + kept_total, staged.data(), cur);
+          kept_total += static_cast<std::uint32_t>(std::popcount(kept));
+          segs += static_cast<std::uint32_t>(std::popcount(starts));
+        });
+        if (kept_total == 0) continue;
+        w.if_then([](int lane) { return lane == 0; }, [&] {
+          LaneArray<std::uint32_t> cidx{};
+          LaneArray<std::uint64_t> cval{};
+          w.vec([&](int lane) {
+            cidx[lane] = static_cast<std::uint32_t>(b);
+            cval[lane] = std::uint64_t{segs} << 32 | kept_total;
+          });
+          w.scatter(counts.data(), cidx, cval);
+        });
       }
     });
   });
 
-  // Pass 2: segment indexing over the survivors — start positions of each
-  // (seq, diagonal) run, consumed by the extension kernels.
+  // Where each bin's survivors (low word) and segments (high word) start
+  // in the flat list.
+  const std::vector<std::uint64_t> bases =
+      gpualgo::exclusive_scan_device(engine, counts, kKernelFilter);
+  FilteredBins out;
+  out.num_bins = total_bins;
+  out.total_survivors = bases[total_bins] & 0xffffffffu;
+  out.total_segments = bases[total_bins] >> 32;
+  out.hits.resize(out.total_survivors);
+  // Every entry starts as the sentinel (cuMemsetD32); pass 2 overwrites all
+  // but the last.
+  out.segments.assign(out.total_segments + 1,
+                      static_cast<std::uint32_t>(out.total_survivors));
+
+  // Pass 2: copy each bin's survivors into the compact array and index the
+  // segments — a survivor whose left neighbour among the survivors has
+  // another key starts one.
   engine.launch(cfg, [&](BlockCtx& ctx) {
     ctx.par([&](WarpExec& w) {
       const auto stride = static_cast<std::size_t>(w.num_warps_total());
       for (auto b = static_cast<std::size_t>(w.global_warp_id());
            b < total_bins; b += stride) {
-        out.seg_counts[b] = compact_bin(
-            w, out.hits.data(), out.offsets[b], out.counts[b],
-            [](std::uint64_t cur, std::uint64_t left, bool has_left) {
-              return !has_left || segment_key(cur) != segment_key(left);
-            },
-            [&](const LaneArray<std::uint32_t>& dst,
-                const LaneArray<std::uint32_t>& i,
-                const LaneArray<std::uint64_t>&) {
-              w.scatter(out.seg_starts.data(), dst, i);
-            });
+        const auto hit_base = static_cast<std::uint32_t>(bases[b]);
+        const auto n = static_cast<std::uint32_t>(bases[b + 1]) - hit_base;
+        const auto seg_base = static_cast<std::uint32_t>(bases[b] >> 32);
+        std::uint32_t segs = 0;
+        walk_sorted(w, staged.data(), assembled.offsets[b], n,
+                    [&](const LaneArray<std::uint32_t>& i,
+                        const LaneArray<std::uint64_t>& cur, auto&& left_of) {
+          LaneArray<std::uint32_t> dst{};
+          LaneArray<std::uint8_t> take{};
+          w.vec([&](int lane) {
+            dst[lane] = hit_base + i[lane];
+            const bool first = i[lane] == 0 || segment_key(cur[lane]) !=
+                                                   segment_key(left_of(lane));
+            take[lane] = i[lane] < n && first ? 1 : 0;
+          });
+          if (i[0] + 32 <= n)
+            w.scatter(out.hits.data(), dst, cur);
+          else
+            w.if_then([&](int lane) { return i[lane] < n; },
+                      [&] { w.scatter(out.hits.data(), dst, cur); });
+          const Mask starts =
+              w.ballot([&](int lane) { return take[lane] != 0; });
+          if (starts == 0) return;
+          scatter_ranked(w, starts, seg_base + segs, out.segments.data(), dst);
+          segs += static_cast<std::uint32_t>(std::popcount(starts));
+        });
       }
     });
   });
-
-  for (std::size_t b = 0; b < total_bins; ++b) {
-    out.total_survivors += out.counts[b];
-    out.total_segments += out.seg_counts[b];
-  }
   return out;
 }
 
@@ -478,12 +534,12 @@ namespace {
 
 using detail::emit_records;
 using detail::ExtensionRecords;
-
-struct BinView {
-  std::uint32_t base = 0;       ///< survivors region start
-  std::uint32_t count = 0;      ///< survivors
-  std::uint32_t num_segs = 0;   ///< segments
-};
+using detail::fetch_hits;
+using detail::LaneHits;
+using detail::load_uniform;
+using detail::warp_slice;
+using detail::WarpRecords;
+using detail::WorkSlice;
 
 }  // namespace
 
@@ -491,25 +547,19 @@ ExtensionResult launch_extension(simt::Engine& engine, const Config& config,
                                  const QueryDevice& query,
                                  const BlockDevice& block,
                                  const FilteredBins& filtered) {
-  const std::size_t total_bins = filtered.counts.size();
   const auto cutoff = config.params.ungapped_cutoff;
   const bool is_hit_based = config.strategy == ExtensionStrategy::kHit;
 
-  // Output regions: one slot per survivor, offset by an exclusive scan of
-  // survivor counts.
-  std::vector<std::uint32_t> region_base(total_bins + 1, 0);
-  for (std::size_t b = 0; b < total_bins; ++b)
-    region_base[b + 1] = region_base[b] + filtered.counts[b];
-  ExtensionRecords records(region_base.back());
-  std::vector<std::uint32_t> emitted(total_bins, 0);
+  // One record slot per survivor.
+  ExtensionRecords records(filtered.total_survivors);
 
-  // Fixed grid; warps stride over bins, exactly as Algorithms 3-5 do
-  // ("i <- warpId; ... i <- i + numWarps").
+  // Fixed grid, one warp per four bins up to 16 blocks (the shape of
+  // Algorithms 3-5); the warps split the flat list between them.
   constexpr int kBlockThreads = 128;
   const int warps_per_block = kBlockThreads / 32;
   const int grid_blocks = std::max<int>(
       1, std::min<int>(16, static_cast<int>(
-                               (total_bins +
+                               (filtered.num_bins +
                                 static_cast<std::size_t>(warps_per_block) -
                                 1) /
                                static_cast<std::size_t>(warps_per_block))));
@@ -520,76 +570,37 @@ ExtensionResult launch_extension(simt::Engine& engine, const Config& config,
   cfg.block_threads = kBlockThreads;
   cfg.regs_per_thread = 48;
 
+  std::vector<WarpRecords> emitted(
+      static_cast<std::size_t>(grid_blocks * warps_per_block));
   // Incremented from inside kernel lambdas; blocks may run on different
   // host workers, and relaxed additions commute, so the total is identical
   // for any worker count.
   std::atomic<std::uint64_t> extensions_run{0};
 
-  auto bin_view = [&](std::size_t b) {
-    return BinView{filtered.offsets[b], filtered.counts[b],
-                   filtered.seg_counts[b]};
-  };
-
-  // Per-lane fetch of a packed hit plus its subject extent.
-  auto fetch_hit = [&](WarpExec& w, const LaneArray<std::uint32_t>& index,
-                       LaneArray<std::uint64_t>& packed,
-                       LaneArray<std::uint32_t>& seq,
-                       LaneArray<std::int32_t>& diag,
-                       LaneArray<std::uint32_t>& spos,
-                       LaneArray<std::uint32_t>& qpos,
-                       LaneArray<std::uint32_t>& seq_off,
-                       LaneArray<std::uint32_t>& seq_len) {
-    w.gather(filtered.hits.data(), index, packed);
-    w.vec([&](int lane) {
-      seq[lane] = hit_seq(packed[lane]);
-      diag[lane] = hit_diagonal(packed[lane]);
-      spos[lane] = hit_spos(packed[lane]);
-      qpos[lane] = hit_qpos(packed[lane]);
-    });
-    LaneArray<std::uint32_t> next{};
-    w.gather(block.offsets.data(), seq, seq_off);
-    w.vec([&](int lane) { next[lane] = seq[lane] + 1; });
-    LaneArray<std::uint32_t> hi{};
-    w.gather(block.offsets.data(), next, hi);
-    w.vec([&](int lane) { seq_len[lane] = hi[lane] - seq_off[lane]; });
-  };
-
   if (config.strategy == ExtensionStrategy::kDiagonal || is_hit_based) {
     engine.launch(cfg, [&](BlockCtx& ctx) {
       const DeviceScoring scoring = DeviceScoring::setup(ctx, config, query);
       ctx.par([&](WarpExec& w) {
-        const auto total_warps =
-            static_cast<std::size_t>(w.num_warps_total());
-        for (std::size_t b = static_cast<std::size_t>(w.global_warp_id());
-             b < total_bins; b += total_warps) {
-        const BinView view = bin_view(b);
-        std::uint32_t cursor = 0;
-        const std::uint32_t out_base = region_base[b];
-
+        WarpRecords& mine =
+            emitted[static_cast<std::size_t>(w.global_warp_id())];
         if (is_hit_based) {
-          // Algorithm 4: lane per hit, extend everything, de-dup later.
+          // Algorithm 4: lane per survivor, extend everything, de-dup later.
+          const WorkSlice slice = warp_slice(w, filtered.total_survivors);
+          mine.base = slice.begin;
           LaneArray<std::uint32_t> i{};
           w.vec([&](int lane) {
-            i[lane] = static_cast<std::uint32_t>(lane);
+            i[lane] = slice.begin + static_cast<std::uint32_t>(lane);
           });
           w.loop_while(
-              [&](int lane) { return i[lane] < view.count; },
+              [&](int lane) { return i[lane] < slice.end; },
               [&] {
-                LaneArray<std::uint32_t> idx{};
-                w.vec([&](int lane) { idx[lane] = view.base + i[lane]; });
-                LaneArray<std::uint64_t> packed{};
-                LaneArray<std::uint32_t> seq{}, spos{}, qpos{}, seq_off{},
-                    seq_len{};
-                LaneArray<std::int32_t> diag{};
-                fetch_hit(w, idx, packed, seq, diag, spos, qpos, seq_off,
-                          seq_len);
-
+                const LaneHits h = fetch_hits(w, filtered, block, i);
                 LaneExtendIo io;
                 w.vec([&](int lane) {
-                  io.qpos[lane] = qpos[lane];
-                  io.spos[lane] = spos[lane];
-                  io.seq_off[lane] = seq_off[lane];
-                  io.seq_len[lane] = seq_len[lane];
+                  io.qpos[lane] = h.qpos[lane];
+                  io.spos[lane] = h.spos[lane];
+                  io.seq_off[lane] = h.seq_off[lane];
+                  io.seq_len[lane] = h.seq_len[lane];
                 });
                 lane_extend_ungapped(w, scoring, block.residues.data(),
                                      query.query_length, config.params, io);
@@ -602,114 +613,94 @@ ExtensionResult launch_extension(simt::Engine& engine, const Config& config,
                 w.vec([&](int lane) {
                   emit[lane] = 1;  // every record participates in de-dup
                   diag_biased[lane] = static_cast<std::uint32_t>(
-                      diag[lane] + kDiagonalBias);
+                      h.diag[lane] + kDiagonalBias);
                 });
-                emit_records(w, records, out_base, cursor, emit, seq,
-                             diag_biased, spos, io.q_start, io.q_end,
-                             io.score);
+                emit_records(w, records, mine, emit, h.seq, diag_biased,
+                             h.spos, io.q_start, io.q_end, io.score);
                 w.vec([&](int lane) { i[lane] += 32; });
               });
-        } else {
-          // Algorithm 3: lane per diagonal segment.
-          LaneArray<std::uint32_t> seg{};
-          w.vec([&](int lane) {
-            seg[lane] = static_cast<std::uint32_t>(lane);
-          });
-          w.loop_while(
-              [&](int lane) { return seg[lane] < view.num_segs; },
-              [&] {
-                LaneArray<std::uint32_t> sidx{};
-                LaneArray<std::uint32_t> seg_begin{};
-                LaneArray<std::uint32_t> seg_end{};
-                w.vec([&](int lane) {
-                  sidx[lane] = view.base + seg[lane];
-                });
-                w.gather(filtered.seg_starts.data(), sidx, seg_begin);
-                w.if_then_else(
-                    [&](int lane) { return seg[lane] + 1 < view.num_segs; },
-                    [&] {
-                      LaneArray<std::uint32_t> nidx{};
-                      w.vec([&](int lane) { nidx[lane] = sidx[lane] + 1; });
-                      w.gather(filtered.seg_starts.data(), nidx, seg_end);
-                    },
-                    [&] {
-                      w.vec([&](int lane) { seg_end[lane] = view.count; });
-                    });
+          return;
+        }
 
-                LaneArray<std::uint32_t> k = seg_begin;
-                LaneArray<std::int32_t> ext_reach{};
-                w.vec([&](int lane) { ext_reach[lane] = -1; });
-
-                w.loop_while(
-                    [&](int lane) { return k[lane] < seg_end[lane]; },
-                    [&] {
-                      LaneArray<std::uint32_t> idx{};
-                      w.vec([&](int lane) {
-                        idx[lane] = view.base + k[lane];
-                      });
-                      LaneArray<std::uint64_t> packed{};
-                      LaneArray<std::uint32_t> seq{}, spos{}, qpos{},
-                          seq_off{}, seq_len{};
-                      LaneArray<std::int32_t> diag{};
-                      fetch_hit(w, idx, packed, seq, diag, spos, qpos,
-                                seq_off, seq_len);
-
-                      w.if_then(
-                          [&](int lane) {
-                            return static_cast<std::int32_t>(spos[lane]) >
-                                   ext_reach[lane];
-                          },
-                          [&] {
-                            LaneExtendIo io;
-                            w.vec([&](int lane) {
-                              io.qpos[lane] = qpos[lane];
-                              io.spos[lane] = spos[lane];
-                              io.seq_off[lane] = seq_off[lane];
-                              io.seq_len[lane] = seq_len[lane];
-                            });
-                            lane_extend_ungapped(
-                                w, scoring, block.residues.data(),
-                                query.query_length, config.params, io);
-                            extensions_run.fetch_add(
-                                static_cast<std::uint64_t>(w.active_lanes()),
-                                std::memory_order_relaxed);
-
-                            LaneArray<std::uint8_t> emit{};
-                            LaneArray<std::uint32_t> diag_biased{};
-                            w.vec([&](int lane) {
-                              ext_reach[lane] = static_cast<std::int32_t>(
-                                  io.q_end[lane]) + diag[lane];
-                              emit[lane] = io.score[lane] >= cutoff ? 1 : 0;
-                              diag_biased[lane] = static_cast<std::uint32_t>(
-                                  diag[lane] + kDiagonalBias);
-                            });
-                            emit_records(w, records, out_base, cursor, emit,
-                                         seq, diag_biased, spos, io.q_start,
-                                         io.q_end, io.score);
-                          });
-                      w.vec([&](int lane) { ++k[lane]; });
-                    });
-                w.vec([&](int lane) { seg[lane] += 32; });
+        // Algorithm 3: lane per diagonal segment.
+        const WorkSlice slice = warp_slice(w, filtered.total_segments);
+        if (slice.begin == slice.end) return;
+        mine.base = load_uniform(w, filtered.segments.data(), slice.begin);
+        LaneArray<std::uint32_t> g{};
+        w.vec([&](int lane) {
+          g[lane] = slice.begin + static_cast<std::uint32_t>(lane);
+        });
+        w.loop_while(
+            [&](int lane) { return g[lane] < slice.end; },
+            [&] {
+              LaneArray<std::uint32_t> k{};
+              LaneArray<std::uint32_t> seg_end{};
+              LaneArray<std::uint32_t> g1{};
+              LaneArray<std::int32_t> ext_reach{};
+              w.gather(filtered.segments.data(), g, k);
+              w.vec([&](int lane) {
+                g1[lane] = g[lane] + 1;
+                ext_reach[lane] = -1;
               });
-        }
-        emitted[b] = cursor;
-        }
+              w.gather(filtered.segments.data(), g1, seg_end);
+
+              w.loop_while(
+                  [&](int lane) { return k[lane] < seg_end[lane]; },
+                  [&] {
+                    const LaneHits h = fetch_hits(w, filtered, block, k);
+                    w.if_then(
+                        [&](int lane) {
+                          return static_cast<std::int32_t>(h.spos[lane]) >
+                                 ext_reach[lane];
+                        },
+                        [&] {
+                          LaneExtendIo io;
+                          w.vec([&](int lane) {
+                            io.qpos[lane] = h.qpos[lane];
+                            io.spos[lane] = h.spos[lane];
+                            io.seq_off[lane] = h.seq_off[lane];
+                            io.seq_len[lane] = h.seq_len[lane];
+                          });
+                          lane_extend_ungapped(
+                              w, scoring, block.residues.data(),
+                              query.query_length, config.params, io);
+                          extensions_run.fetch_add(
+                              static_cast<std::uint64_t>(w.active_lanes()),
+                              std::memory_order_relaxed);
+
+                          LaneArray<std::uint8_t> emit{};
+                          LaneArray<std::uint32_t> diag_biased{};
+                          w.vec([&](int lane) {
+                            ext_reach[lane] = static_cast<std::int32_t>(
+                                io.q_end[lane]) + h.diag[lane];
+                            emit[lane] = io.score[lane] >= cutoff ? 1 : 0;
+                            diag_biased[lane] = static_cast<std::uint32_t>(
+                                h.diag[lane] + kDiagonalBias);
+                          });
+                          emit_records(w, records, mine, emit, h.seq,
+                                       diag_biased, h.spos, io.q_start,
+                                       io.q_end, io.score);
+                        });
+                    w.vec([&](int lane) { ++k[lane]; });
+                  });
+              w.vec([&](int lane) { g[lane] += 32; });
+            });
       });
     });
   } else {
     // Algorithm 5: window-based extension (window_kernel.cpp).
     detail::run_window_extension_kernel(engine, config, query, block,
-                                        filtered, cfg, region_base, records,
-                                        emitted, extensions_run);
+                                        filtered, cfg, records, emitted,
+                                        extensions_run);
   }
 
   // Host-side collection (modeled as the D2H copy of the record buffer).
   ExtensionResult result;
   result.extensions_run = extensions_run.load(std::memory_order_relaxed);
   std::vector<std::tuple<std::uint64_t, blast::UngappedExtension>> staged;
-  for (std::size_t b = 0; b < total_bins; ++b) {
-    for (std::uint32_t r = 0; r < emitted[b]; ++r) {
-      const std::uint32_t slot = region_base[b] + r;
+  for (const WarpRecords& warp : emitted) {
+    for (std::uint32_t slot = warp.base; slot < warp.base + warp.count;
+         ++slot) {
       blast::UngappedExtension ext;
       ext.seq = records.seq[slot];
       ext.q_start = records.q_start[slot];

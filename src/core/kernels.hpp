@@ -63,20 +63,24 @@ AssembledBins launch_assemble(simt::Engine& engine, const BinGrid& bins);
 /// bin, gpualgo::segmented_sort_u64).
 void launch_sort(simt::Engine& engine, AssembledBins& assembled);
 
+/// K4's output: one flat work list for K5, in (bin, segment) order.
+/// Segment g is the (sequence, diagonal) run of survivors
+/// [segments[g], segments[g + 1]); the last entry is the sentinel
+/// total_survivors. Both arrays are sized exactly.
 struct FilteredBins {
-  simt::DeviceVector<std::uint64_t> hits;       ///< survivors per bin region
-  std::vector<std::uint32_t> offsets;           ///< same regions as assembled
-  simt::DeviceVector<std::uint32_t> counts;     ///< survivors per bin
-  simt::DeviceVector<std::uint32_t> seg_starts; ///< bin-relative indices
-  simt::DeviceVector<std::uint32_t> seg_counts; ///< segments per bin
+  simt::DeviceVector<std::uint64_t> hits;      ///< survivors, compact
+  simt::DeviceVector<std::uint32_t> segments;  ///< first survivor of each
   std::uint64_t total_survivors = 0;
   std::uint64_t total_segments = 0;
+  std::size_t num_bins = 0;  ///< bins it was built from (sizes K5's grid)
 };
 
 /// K4: two-hit filter — a hit survives iff its left neighbour in the sorted
-/// bin is on the same (sequence, diagonal) within the window A — plus
-/// (seq, diagonal)-segment start indexing for the extension kernels. Warp
-/// per bin; the left neighbour arrives by shuffle, not a second load.
+/// bin is on the same (sequence, diagonal) within the window A — plus the
+/// flat segment list. Warp per bin: a filter pass counts each bin's
+/// survivors and segments (left neighbour and previous survivor arrive by
+/// shuffle), a device scan places them, and an indexing pass writes the
+/// compact survivors and each segment's first-survivor index.
 FilteredBins launch_filter(simt::Engine& engine, const Config& config,
                            const AssembledBins& assembled);
 
@@ -89,7 +93,9 @@ struct ExtensionResult {
 };
 
 /// K5: one of the three fine-grained extension kernels per
-/// config.strategy.
+/// config.strategy. Each warp takes one contiguous slice of the flat list
+/// (segments, or survivors for the hit-based kernel) and writes its records
+/// into that slice's own survivor range.
 ExtensionResult launch_extension(simt::Engine& engine, const Config& config,
                                  const QueryDevice& query,
                                  const BlockDevice& block,

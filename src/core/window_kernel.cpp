@@ -9,7 +9,15 @@
 // position. The result is bit-identical to the scalar x-drop extension —
 // verified by tests — while replacing the per-lane serial loop with
 // log2(window) warp steps per window of positions.
+//
+// Each warp owns one contiguous slice of K4's flat segment list. A window
+// whose segment ends claims the slice's next unclaimed segment (ballot +
+// popcount rank on a warp-uniform cursor), so no window idles while its
+// warp still has segments left.
+#include <algorithm>
+#include <bit>
 #include <climits>
+#include <stdexcept>
 
 #include "core/extension_internal.hpp"
 #include "core/scoring.hpp"
@@ -20,6 +28,7 @@ namespace {
 
 using simt::BlockCtx;
 using simt::LaneArray;
+using simt::Mask;
 using simt::WarpExec;
 
 constexpr int kNegInf = INT_MIN / 4;
@@ -160,178 +169,169 @@ void run_window_extension_kernel(simt::Engine& engine, const Config& config,
                                  const BlockDevice& block,
                                  const FilteredBins& filtered,
                                  const simt::LaunchConfig& cfg,
-                                 const std::vector<std::uint32_t>& region_base,
                                  ExtensionRecords& records,
-                                 std::vector<std::uint32_t>& emitted,
+                                 std::vector<WarpRecords>& emitted,
                                  std::atomic<std::uint64_t>& extensions_run) {
-  const std::size_t total_bins = filtered.counts.size();
   const int ws = config.window_size;
   if (ws < 2 || ws > 32 || (ws & (ws - 1)) != 0)
     throw std::invalid_argument(
         "window extension: window_size must be a power of two in [2, 32]");
-  const int windows_per_warp = 32 / ws;
+  // One bit per window: its first lane.
+  Mask leaders = 0;
+  for (int lane = 0; lane < 32; lane += ws) leaders |= Mask{1} << lane;
 
   const auto cutoff = config.params.ungapped_cutoff;
   const auto word = static_cast<std::uint32_t>(config.params.word_length);
+  // The seed word is summed over the first `span` lanes of each window.
+  const int span =
+      std::min(ws, static_cast<int>(std::bit_ceil(std::max(word, 1u))));
   const int xdrop = config.params.ungapped_xdrop;
   const std::uint32_t qlen = query.query_length;
 
   engine.launch(cfg, [&](BlockCtx& ctx) {
     const DeviceScoring scoring = DeviceScoring::setup(ctx, config, query);
     ctx.par([&](WarpExec& w) {
-      const auto total_warps =
-          static_cast<std::size_t>(w.num_warps_total());
-      for (std::size_t b = static_cast<std::size_t>(w.global_warp_id());
-           b < total_bins; b += total_warps) {
-      const std::uint32_t base = filtered.offsets[b];
-      const std::uint32_t count = filtered.counts[b];
-      const std::uint32_t num_segs = filtered.seg_counts[b];
-      const std::uint32_t out_base = region_base[b];
-      std::uint32_t cursor = 0;
+      WarpRecords& mine = emitted[static_cast<std::size_t>(w.global_warp_id())];
+      const WorkSlice slice = warp_slice(w, filtered.total_segments);
+      if (slice.begin == slice.end) return;
+      mine.base = load_uniform(w, filtered.segments.data(), slice.begin);
 
-      // Window-uniform segment iteration: window k starts at segment k.
-      LaneArray<std::uint32_t> seg{};
-      w.vec([&](int lane) {
-        seg[lane] = static_cast<std::uint32_t>(lane / ws);
-      });
+      // Window-uniform state: segment g, its next hit k and end, and how
+      // far the window's last extension reached on the diagonal.
+      LaneArray<std::uint32_t> g{};
+      LaneArray<std::uint32_t> k{};
+      LaneArray<std::uint32_t> seg_end{};
+      LaneArray<std::int32_t> ext_reach{};
+      std::uint32_t next = slice.begin;  // first unclaimed segment
+
+      // Windows whose segment is done take the next unclaimed segments of
+      // the slice, in window order; past the slice's end they retire.
+      auto claim = [&] {
+        const Mask need =
+            w.ballot([&](int lane) { return k[lane] == seg_end[lane]; });
+        if (need == 0) return;
+        w.if_then([&](int lane) { return ((need >> lane) & 1u) != 0; }, [&] {
+          w.vec([&](int lane) {
+            g[lane] = next + simt::rank_below(need & leaders, lane - lane % ws);
+          });
+          w.if_then([&](int lane) { return g[lane] < slice.end; }, [&] {
+            LaneArray<std::uint32_t> g1{};
+            w.gather(filtered.segments.data(), g, k);
+            w.vec([&](int lane) {
+              g1[lane] = g[lane] + 1;
+              ext_reach[lane] = -1;
+            });
+            w.gather(filtered.segments.data(), g1, seg_end);
+          });
+        });
+        next += static_cast<std::uint32_t>(std::popcount(need & leaders));
+      };
+
+      claim();
       w.loop_while(
-          [&](int lane) { return seg[lane] < num_segs; },
+          [&](int lane) { return g[lane] < slice.end; },
           [&] {
-            LaneArray<std::uint32_t> sidx{};
-            LaneArray<std::uint32_t> seg_begin{};
-            LaneArray<std::uint32_t> seg_end{};
-            w.vec([&](int lane) { sidx[lane] = base + seg[lane]; });
-            w.gather(filtered.seg_starts.data(), sidx, seg_begin);
-            w.if_then_else(
-                [&](int lane) { return seg[lane] + 1 < num_segs; },
-                [&] {
-                  LaneArray<std::uint32_t> nidx{};
-                  w.vec([&](int lane) { nidx[lane] = sidx[lane] + 1; });
-                  w.gather(filtered.seg_starts.data(), nidx, seg_end);
+            // Window-uniform hit fetch.
+            const LaneHits h = fetch_hits(w, filtered, block, k);
+
+            w.if_then(
+                [&](int lane) {
+                  return static_cast<std::int32_t>(h.spos[lane]) >
+                         ext_reach[lane];
                 },
-                [&] { w.vec([&](int lane) { seg_end[lane] = count; }); });
-
-            LaneArray<std::uint32_t> k = seg_begin;
-            LaneArray<std::int32_t> ext_reach{};
-            w.vec([&](int lane) { ext_reach[lane] = -1; });
-
-            w.loop_while(
-                [&](int lane) { return k[lane] < seg_end[lane]; },
                 [&] {
-                  // Window-uniform hit fetch.
-                  LaneArray<std::uint32_t> hidx{};
-                  LaneArray<std::uint64_t> packed{};
-                  w.vec([&](int lane) { hidx[lane] = base + k[lane]; });
-                  w.gather(filtered.hits.data(), hidx, packed);
-                  LaneArray<std::uint32_t> seq{}, spos{}, qpos{}, seq_off{},
-                      seq_len{};
-                  LaneArray<std::int32_t> diag{};
-                  w.vec([&](int lane) {
-                    seq[lane] = hit_seq(packed[lane]);
-                    diag[lane] = hit_diagonal(packed[lane]);
-                    spos[lane] = hit_spos(packed[lane]);
-                    qpos[lane] = hit_qpos(packed[lane]);
-                  });
-                  LaneArray<std::uint32_t> next{}, hi{};
-                  w.gather(block.offsets.data(), seq, seq_off);
-                  w.vec([&](int lane) { next[lane] = seq[lane] + 1; });
-                  w.gather(block.offsets.data(), next, hi);
-                  w.vec([&](int lane) {
-                    seq_len[lane] = hi[lane] - seq_off[lane];
-                  });
-
-                  w.if_then(
-                      [&](int lane) {
-                        return static_cast<std::int32_t>(spos[lane]) >
-                               ext_reach[lane];
-                      },
-                      [&] {
-                        // Seed-word score (window-uniform broadcast loads).
-                        LaneArray<int> word_score{};
-                        for (std::uint32_t i = 0; i < word; ++i) {
+                  // Seed-word score: lane j of a window scores word
+                  // position j (then j + ws, ... while the word is longer
+                  // than the window), and a window sum broadcasts the total.
+                  LaneArray<int> word_score{};
+                  for (std::uint32_t p0 = 0; p0 < word;
+                       p0 += static_cast<std::uint32_t>(ws)) {
+                    w.if_then(
+                        [&](int lane) {
+                          return p0 + static_cast<std::uint32_t>(lane % ws) <
+                                 word;
+                        },
+                        [&] {
                           LaneArray<std::uint32_t> qp{}, sx{};
                           LaneArray<std::uint8_t> sres{};
-                          LaneArray<int> sc{};
                           w.vec([&](int lane) {
-                            qp[lane] = qpos[lane] + i;
-                            sx[lane] = seq_off[lane] + spos[lane] + i;
+                            const std::uint32_t p =
+                                p0 + static_cast<std::uint32_t>(lane % ws);
+                            qp[lane] = h.qpos[lane] + p;
+                            sx[lane] = h.seq_off[lane] + h.spos[lane] + p;
                           });
                           w.gather(block.residues.data(), sx, sres);
-                          scoring.score_step(w, qp, sres, sc);
-                          w.vec([&](int lane) {
-                            word_score[lane] += sc[lane];
-                          });
-                        }
-
-                        // Right window (paper Fig. 8, right of the hit).
-                        const WindowHalf right = window_extend_half(
-                            w, scoring, block.residues.data(), ws, xdrop,
-                            [&](int lane, std::uint32_t offset,
-                                std::uint32_t& qp, std::uint32_t& sx) {
-                              const std::uint32_t q =
-                                  qpos[lane] + word + offset;
-                              const std::uint32_t s =
-                                  spos[lane] + word + offset;
-                              qp = q;
-                              sx = seq_off[lane] + s;
-                              return q < qlen && s < seq_len[lane];
+                          if (p0 == 0) {
+                            scoring.score_step(w, qp, sres, word_score);
+                          } else {
+                            LaneArray<int> sc{};
+                            scoring.score_step(w, qp, sres, sc);
+                            w.vec([&](int lane) {
+                              word_score[lane] += sc[lane];
                             });
-
-                        // Left window (opposite direction, concurrently in
-                        // the paper; sequential rounds here, same result).
-                        const WindowHalf left = window_extend_half(
-                            w, scoring, block.residues.data(), ws, xdrop,
-                            [&](int lane, std::uint32_t offset,
-                                std::uint32_t& qp, std::uint32_t& sx) {
-                              const std::uint32_t dist = offset + 1;
-                              const bool ok = dist <= qpos[lane] &&
-                                              dist <= spos[lane];
-                              qp = ok ? qpos[lane] - dist : 0;
-                              sx = ok ? seq_off[lane] + spos[lane] - dist
-                                      : seq_off[lane];
-                              return ok;
-                            });
-
-                        extensions_run.fetch_add(
-                            static_cast<std::uint64_t>(
-                                w.active_lanes() / ws),
-                            std::memory_order_relaxed);
-
-                        LaneArray<std::uint32_t> q_start{}, q_end{};
-                        LaneArray<int> total{};
-                        LaneArray<std::uint8_t> emit{};
-                        LaneArray<std::uint32_t> diag_biased{};
-                        w.vec([&](int lane) {
-                          const std::uint32_t right_off =
-                              right.gain[lane] > 0 ? right.off[lane] + 1 : 0;
-                          const std::uint32_t left_off =
-                              left.gain[lane] > 0 ? left.off[lane] + 1 : 0;
-                          total[lane] = word_score[lane] +
-                                        right.gain[lane] + left.gain[lane];
-                          q_start[lane] = qpos[lane] - left_off;
-                          q_end[lane] = qpos[lane] + word - 1 + right_off;
-                          ext_reach[lane] =
-                              static_cast<std::int32_t>(q_end[lane]) +
-                              diag[lane];
-                          emit[lane] = (lane % ws == 0 &&
-                                        total[lane] >= cutoff)
-                                           ? 1
-                                           : 0;
-                          diag_biased[lane] = static_cast<std::uint32_t>(
-                              diag[lane] + kDiagonalBias);
+                          }
                         });
-                        emit_records(w, records, out_base, cursor, emit, seq,
-                                     diag_biased, spos, q_start, q_end,
-                                     total);
+                  }
+                  w.window_inclusive_scan(word_score, span);
+                  w.shfl(word_score, span - 1, ws);
+
+                  // Right window (paper Fig. 8, right of the hit).
+                  const WindowHalf right = window_extend_half(
+                      w, scoring, block.residues.data(), ws, xdrop,
+                      [&](int lane, std::uint32_t offset, std::uint32_t& qp,
+                          std::uint32_t& sx) {
+                        const std::uint32_t q = h.qpos[lane] + word + offset;
+                        const std::uint32_t s = h.spos[lane] + word + offset;
+                        qp = q;
+                        sx = h.seq_off[lane] + s;
+                        return q < qlen && s < h.seq_len[lane];
                       });
-                  w.vec([&](int lane) { ++k[lane]; });
+
+                  // Left window (opposite direction, concurrently in the
+                  // paper; sequential rounds here, same result).
+                  const WindowHalf left = window_extend_half(
+                      w, scoring, block.residues.data(), ws, xdrop,
+                      [&](int lane, std::uint32_t offset, std::uint32_t& qp,
+                          std::uint32_t& sx) {
+                        const std::uint32_t dist = offset + 1;
+                        const bool ok =
+                            dist <= h.qpos[lane] && dist <= h.spos[lane];
+                        qp = ok ? h.qpos[lane] - dist : 0;
+                        sx = ok ? h.seq_off[lane] + h.spos[lane] - dist
+                                : h.seq_off[lane];
+                        return ok;
+                      });
+
+                  extensions_run.fetch_add(
+                      static_cast<std::uint64_t>(w.active_lanes() / ws),
+                      std::memory_order_relaxed);
+
+                  LaneArray<std::uint32_t> q_start{}, q_end{};
+                  LaneArray<int> total{};
+                  LaneArray<std::uint8_t> emit{};
+                  LaneArray<std::uint32_t> diag_biased{};
+                  w.vec([&](int lane) {
+                    const std::uint32_t right_off =
+                        right.gain[lane] > 0 ? right.off[lane] + 1 : 0;
+                    const std::uint32_t left_off =
+                        left.gain[lane] > 0 ? left.off[lane] + 1 : 0;
+                    total[lane] =
+                        word_score[lane] + right.gain[lane] + left.gain[lane];
+                    q_start[lane] = h.qpos[lane] - left_off;
+                    q_end[lane] = h.qpos[lane] + word - 1 + right_off;
+                    ext_reach[lane] =
+                        static_cast<std::int32_t>(q_end[lane]) + h.diag[lane];
+                    emit[lane] =
+                        (lane % ws == 0 && total[lane] >= cutoff) ? 1 : 0;
+                    diag_biased[lane] = static_cast<std::uint32_t>(
+                        h.diag[lane] + kDiagonalBias);
+                  });
+                  emit_records(w, records, mine, emit, h.seq, diag_biased,
+                               h.spos, q_start, q_end, total);
                 });
-            w.vec([&](int lane) {
-              seg[lane] += static_cast<std::uint32_t>(windows_per_warp);
-            });
+            w.vec([&](int lane) { ++k[lane]; });
+            claim();
           });
-      emitted[b] = cursor;
-      }
     });
   });
 }

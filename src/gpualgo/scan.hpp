@@ -1,6 +1,6 @@
 // Block/grid prefix scan expressed as SIMT kernels (the CUB-scan stand-in
-// of DESIGN.md §1). Used to turn per-bin hit counts into bin offsets during
-// hit assembling.
+// of DESIGN.md §1). Hit assembling turns per-bin hit counts into bin
+// offsets with it; hit filtering places each bin's survivors and segments.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +16,12 @@ namespace repro::gpualgo {
 /// Returns input.size() + 1 values; the last is the total.
 [[nodiscard]] std::vector<std::uint32_t> exclusive_scan_device(
     simt::Engine& engine, std::span<const std::uint32_t> input,
+    const std::string& kernel_name = "scan");
+
+/// The same scan over 64-bit values: two 32-bit counts packed in one word
+/// are scanned together, as long as neither half's total overflows.
+[[nodiscard]] std::vector<std::uint64_t> exclusive_scan_device(
+    simt::Engine& engine, std::span<const std::uint64_t> input,
     const std::string& kernel_name = "scan");
 
 }  // namespace repro::gpualgo

@@ -31,6 +31,13 @@ using LaneArray = std::array<T, kWarpSize>;
 using Mask = std::uint32_t;
 inline constexpr Mask kFullMask = 0xffffffffu;
 
+/// Set bits of mask below lane: a lane's exclusive rank among the lanes a
+/// ballot selected (the __popc(mask & %lanemask_lt) idiom).
+[[nodiscard]] inline std::uint32_t rank_below(Mask mask, int lane) {
+  return static_cast<std::uint32_t>(
+      std::popcount(mask & ((Mask{1} << lane) - 1u)));
+}
+
 enum class MemKind { kGlobal, kReadOnly };
 
 class WarpExec {
@@ -341,6 +348,33 @@ class WarpExec {
         vals[static_cast<std::size_t>(lane)] =
             prev[static_cast<std::size_t>(lane - delta)];
     });
+  }
+
+  /// Indexed shuffle (__shfl_sync): lane i reads lane src[i] of its own
+  /// width-lane window (src taken modulo width, as on hardware). K4 takes
+  /// each survivor's previous survivor from this, and the window extension
+  /// broadcasts a window's total with it.
+  template <class T>
+  void shfl(LaneArray<T>& vals, const LaneArray<int>& src,
+            int width = kWarpSize) {
+    if (check_ != nullptr)
+      check_->on_collective(warp_in_block_, active_, width, "shfl");
+    note_op();
+    LaneArray<T> prev = vals;
+    for_active([&](int lane) {
+      const int from = lane - lane % width +
+                       src[static_cast<std::size_t>(lane)] % width;
+      vals[static_cast<std::size_t>(lane)] =
+          prev[static_cast<std::size_t>(from)];
+    });
+  }
+
+  /// shfl with one source lane for every window (a broadcast).
+  template <class T>
+  void shfl(LaneArray<T>& vals, int src, int width = kWarpSize) {
+    LaneArray<int> from{};
+    from.fill(src);
+    shfl(vals, from, width);
   }
 
   /// Butterfly shuffle (__shfl_xor_sync): lane i reads lane i ^ lane_mask.

@@ -15,6 +15,7 @@
 #include "core/bins.hpp"
 #include "core/device_data.hpp"
 #include "core/kernels.hpp"
+#include "flat_list_reference.hpp"
 #include "util/rng.hpp"
 
 namespace repro {
@@ -152,6 +153,20 @@ TEST(DetectionKernel, BinAssignmentRespectsDiagonalModulo) {
   }
 }
 
+/// K4's flat list against the host reference: compact survivors, segment
+/// starts and the closing sentinel, each array exactly sized.
+void expect_flat_list(const core::FilteredBins& filtered,
+                      const testref::FlatReference& ref) {
+  ASSERT_EQ(filtered.total_survivors, ref.survivors.size());
+  ASSERT_EQ(filtered.total_segments + 1, ref.segments.size());
+  ASSERT_EQ(filtered.hits.size(), ref.survivors.size());
+  ASSERT_EQ(filtered.segments.size(), ref.segments.size());
+  for (std::size_t i = 0; i < ref.survivors.size(); ++i)
+    EXPECT_EQ(filtered.hits[i], ref.survivors[i]) << "survivor " << i;
+  for (std::size_t g = 0; g < ref.segments.size(); ++g)
+    EXPECT_EQ(filtered.segments[g], ref.segments[g]) << "segment " << g;
+}
+
 TEST(SortAndFilter, BinsSortedAndSurvivorsObeyTwoHitRule) {
   PipelineFixture fx(127, 25, 311);
   simt::Engine engine;
@@ -170,41 +185,32 @@ TEST(SortAndFilter, BinsSortedAndSurvivorsObeyTwoHitRule) {
   }
 
   const auto filtered = core::launch_filter(engine, config, assembled);
+  // Survivors: each must have a same-(seq,diag) predecessor within the
+  // window among the *unfiltered* sorted hits.
+  std::vector<std::uint64_t> all(assembled.hits.begin(),
+                                 assembled.hits.end());
+  std::sort(all.begin(), all.end());
   const auto window =
       static_cast<std::uint32_t>(fx.params.two_hit_window);
-  std::uint64_t checked = 0;
-  for (std::size_t b = 0; b < filtered.counts.size(); ++b) {
-    const std::uint32_t base = filtered.offsets[b];
-    // Survivors: each must have a same-(seq,diag) predecessor within the
-    // window among the *unfiltered* sorted hits of the bin.
-    for (std::uint32_t i = 0; i < filtered.counts[b]; ++i) {
-      const std::uint64_t hit = filtered.hits[base + i];
-      bool has_predecessor = false;
-      for (std::uint32_t k = 0; k < assembled.counts[b]; ++k) {
-        const std::uint64_t other = assembled.hits[assembled.offsets[b] + k];
-        if (other >> 16 == hit >> 16 && other < hit &&
-            core::hit_spos(hit) - core::hit_spos(other) <= window) {
-          has_predecessor = true;
-          break;
-        }
-      }
-      EXPECT_TRUE(has_predecessor);
-      ++checked;
-    }
+  for (std::size_t i = 0; i < filtered.total_survivors; ++i) {
+    const std::uint64_t hit = filtered.hits[i];
+    const auto at = std::lower_bound(all.begin(), all.end(), hit);
+    ASSERT_NE(at, all.begin());
+    const std::uint64_t other = *(at - 1);
+    EXPECT_TRUE(other >> 16 == hit >> 16 &&
+                core::hit_spos(hit) - core::hit_spos(other) <= window);
   }
-  EXPECT_GT(checked, 0u);
-  EXPECT_EQ(checked, filtered.total_survivors);
+  EXPECT_GT(filtered.total_survivors, 0u);
+  expect_flat_list(filtered, testref::flat_reference(assembled, fx.params));
 }
 
 TEST(SortAndFilter, LeftNeighbourCrossesChunkBoundaries) {
   // In a bin longer than a warp, the left neighbour of a chunk's first hit
-  // is the previous chunk's last one. Sorted bins of 1..100 hits on a few
-  // (seq, diagonal) runs, against the scalar two-hit rule and segment
-  // starts.
+  // is the previous chunk's last one, and so may be its previous survivor.
+  // Sorted bins of 1..100 hits on a few (seq, diagonal) runs, against the
+  // scalar two-hit rule and segment starts.
   util::Rng rng(41);
-  core::AssembledBins assembled;
-  assembled.offsets.push_back(0);
-  std::vector<std::uint32_t> counts;
+  std::vector<std::vector<std::uint64_t>> bins;
   for (const std::uint32_t n : {1u, 31u, 32u, 33u, 64u, 65u, 100u}) {
     std::vector<std::uint64_t> bin;
     for (std::uint32_t i = 0; i < n; ++i)
@@ -212,43 +218,17 @@ TEST(SortAndFilter, LeftNeighbourCrossesChunkBoundaries) {
           static_cast<std::uint32_t>(rng.below(2)),
           static_cast<std::int32_t>(rng.below(2)),
           static_cast<std::uint32_t>(rng.below(1200))));
-    std::sort(bin.begin(), bin.end());
-    assembled.hits.insert(assembled.hits.end(), bin.begin(), bin.end());
-    assembled.offsets.push_back(
-        static_cast<std::uint32_t>(assembled.hits.size()));
-    counts.push_back(n);
+    bins.push_back(bin);
   }
-  assembled.counts.assign(counts.begin(), counts.end());
-
+  const core::AssembledBins assembled = testref::make_bins(bins);
   const core::Config config = small_kernel_config();
-  const auto window = static_cast<std::uint32_t>(
-      config.params.two_hit_window);
   simt::Engine engine;
   const auto filtered = core::launch_filter(engine, config, assembled);
-
-  for (std::size_t b = 0; b < counts.size(); ++b) {
-    const std::uint64_t* hits = assembled.hits.data() + assembled.offsets[b];
-    std::vector<std::uint64_t> survivors;
-    for (std::uint32_t i = 1; i < counts[b]; ++i)
-      if (hits[i] >> 16 == hits[i - 1] >> 16 &&
-          core::hit_spos(hits[i]) - core::hit_spos(hits[i - 1]) <= window)
-        survivors.push_back(hits[i]);
-    std::vector<std::uint32_t> starts;
-    for (std::uint32_t i = 0; i < survivors.size(); ++i)
-      if (i == 0 || survivors[i] >> 16 != survivors[i - 1] >> 16)
-        starts.push_back(i);
-
-    const std::uint32_t base = filtered.offsets[b];
-    ASSERT_EQ(filtered.counts[b], survivors.size()) << "bin " << b;
-    ASSERT_EQ(filtered.seg_counts[b], starts.size()) << "bin " << b;
-    for (std::size_t i = 0; i < survivors.size(); ++i)
-      EXPECT_EQ(filtered.hits[base + i], survivors[i]) << "bin " << b;
-    for (std::size_t s = 0; s < starts.size(); ++s)
-      EXPECT_EQ(filtered.seg_starts[base + s], starts[s]) << "bin " << b;
-  }
+  expect_flat_list(filtered,
+                   testref::flat_reference(assembled, config.params));
 }
 
-TEST(SegmentIndex, StartsMarkSeqDiagBoundaries) {
+TEST(SegmentIndex, FlatListMatchesHostReference) {
   PipelineFixture fx(127, 20, 313);
   simt::Engine engine;
   const auto config = small_kernel_config();
@@ -258,20 +238,61 @@ TEST(SegmentIndex, StartsMarkSeqDiagBoundaries) {
   auto assembled = core::launch_assemble(engine, bins);
   core::launch_sort(engine, assembled);
   const auto filtered = core::launch_filter(engine, config, assembled);
+  EXPECT_EQ(filtered.num_bins, assembled.counts.size());
+  EXPECT_GT(filtered.total_segments, 0u);
+  expect_flat_list(filtered, testref::flat_reference(assembled, fx.params));
+}
 
-  for (std::size_t b = 0; b < filtered.counts.size(); ++b) {
-    const std::uint32_t base = filtered.offsets[b];
-    const std::uint32_t n = filtered.counts[b];
-    // Reconstruct expected starts.
-    std::vector<std::uint32_t> expected;
+TEST(SegmentIndex, EmptyBinsAndSegmentsAcrossChunks) {
+  // Empty bins and bins whose hits all fail the filter place nothing; one
+  // segment runs across three 32-hit chunks; in another bin the previous
+  // survivor of a chunk's first survivor lies two chunks back, behind a
+  // chunk with no survivors at all.
+  const auto run = [](std::uint32_t seq, std::int32_t diag,
+                      std::uint32_t first, std::uint32_t n,
+                      std::uint32_t step) {
+    std::vector<std::uint64_t> hits;
     for (std::uint32_t i = 0; i < n; ++i)
-      if (i == 0 || (filtered.hits[base + i] >> 16) !=
-                        (filtered.hits[base + i - 1] >> 16))
-        expected.push_back(i);
-    ASSERT_EQ(filtered.seg_counts[b], expected.size());
-    for (std::size_t s = 0; s < expected.size(); ++s)
-      EXPECT_EQ(filtered.seg_starts[base + s], expected[s]);
-  }
+      hits.push_back(core::pack_hit(seq, diag, first + i * step));
+    return hits;
+  };
+  std::vector<std::vector<std::uint64_t>> bins(6);
+  bins[1] = run(1, 0, 0, 20, 100);   // 20 hits, 100 apart: no survivor
+  bins[2] = run(2, 3, 0, 80, 2);     // one segment of 79 over 3 chunks
+  bins[4] = run(3, -7, 0, 2, 10);    // survivor 1 of key (3, -7) ...
+  const auto lone = run(3, -7, 100, 70, 100);  // ... 70 dropped hits ...
+  bins[4].insert(bins[4].end(), lone.begin(), lone.end());
+  const auto late = run(3, -7, 7100, 2, 10);   // ... then survivor 2
+  bins[4].insert(bins[4].end(), late.begin(), late.end());
+  const auto other = run(4, 1, 0, 3, 5);       // and a second segment
+  bins[4].insert(bins[4].end(), other.begin(), other.end());
+  const core::AssembledBins assembled = testref::make_bins(bins);
+
+  const core::Config config = small_kernel_config();
+  simt::Engine engine;
+  const auto filtered = core::launch_filter(engine, config, assembled);
+  const auto ref = testref::flat_reference(assembled, config.params);
+  EXPECT_EQ(ref.survivors.size(), 79u + 2u + 2u);
+  EXPECT_EQ(ref.segments, (std::vector<std::uint32_t>{0, 79, 81, 83}));
+  expect_flat_list(filtered, ref);
+}
+
+TEST(SegmentIndex, PreviousSurvivorTwoHitsBack) {
+  // One diagonal, spos 0/10/100/110, A = 40: 10 and 110 survive, 100 is
+  // dropped, and the two survivors still form one segment.
+  core::Config config = small_kernel_config();
+  config.params.two_hit_window = 40;
+  const core::AssembledBins assembled = testref::make_bins(
+      {{core::pack_hit(5, 2, 0), core::pack_hit(5, 2, 10),
+        core::pack_hit(5, 2, 100), core::pack_hit(5, 2, 110)}});
+  simt::Engine engine;
+  const auto filtered = core::launch_filter(engine, config, assembled);
+  ASSERT_EQ(filtered.total_survivors, 2u);
+  EXPECT_EQ(core::hit_spos(filtered.hits[0]), 10u);
+  EXPECT_EQ(core::hit_spos(filtered.hits[1]), 110u);
+  EXPECT_EQ(filtered.total_segments, 1u);
+  EXPECT_EQ(filtered.segments[0], 0u);
+  EXPECT_EQ(filtered.segments[1], 2u);
 }
 
 class ExtensionKernelSweep
@@ -376,6 +397,51 @@ TEST(ExtensionKernels, LargeXdropStillMatches) {
     std::sort(result.extensions.begin(), result.extensions.end());
     EXPECT_EQ(result.extensions, expected)
         << "strategy " << static_cast<int>(strategy);
+  }
+}
+
+TEST(ExtensionKernels, UnevenSegmentsAcrossBins) {
+  // One segment of 100 survivors among hundreds of one-survivor segments,
+  // crowded into a few of 16 bins: while one window works through the long
+  // segment, the others of its warp keep claiming short ones.
+  blast::SearchParams params;
+  params.ungapped_cutoff = 0;  // most extensions emit a record
+  PipelineFixture fx(200, 40, 353, params);
+  const core::AssembledBins assembled =
+      testref::make_uneven_bins(fx.db, 200, 59);
+  const auto ref = testref::flat_reference(assembled, params);
+  std::uint64_t reference_runs = 0;
+  const auto expected = testref::reference_extensions(
+      ref, fx.db, fx.pssm, params, &reference_runs);
+  ASSERT_GT(ref.segments.size(), 500u);
+  ASSERT_GT(expected.size(), 100u);
+
+  for (const auto strategy :
+       {core::ExtensionStrategy::kDiagonal, core::ExtensionStrategy::kHit,
+        core::ExtensionStrategy::kWindow}) {
+    for (const int window_size : {2, 4, 8, 16, 32}) {
+      auto config = small_kernel_config();
+      config.params = params;
+      config.strategy = strategy;
+      config.window_size = window_size;
+      simt::Engine engine;
+      const auto filtered = core::launch_filter(engine, config, assembled);
+      expect_flat_list(filtered, ref);
+      auto result = core::launch_extension(engine, config, fx.device_query,
+                                           fx.device_block, filtered);
+      std::sort(result.extensions.begin(), result.extensions.end());
+      EXPECT_EQ(result.extensions, expected)
+          << "strategy " << static_cast<int>(strategy) << " window "
+          << window_size;
+      // The window kernel runs exactly the diagonal kernel's extensions;
+      // the hit-based one extends every survivor.
+      EXPECT_EQ(result.extensions_run,
+                strategy == core::ExtensionStrategy::kHit
+                    ? ref.survivors.size()
+                    : reference_runs)
+          << "strategy " << static_cast<int>(strategy) << " window "
+          << window_size;
+    }
   }
 }
 

@@ -313,6 +313,24 @@ TEST(CuBlastp, ProfileContainsAllKernels) {
   }
 }
 
+TEST(CuBlastp, DeviceTimeCoversEveryProfileRow) {
+  // gpu_critical_ms() sums kernel rows by name: a kernel launched under a
+  // name it does not know would drop out of the device time unnoticed.
+  const auto w = make_workload(127, 40, 53);
+  for (const auto strategy :
+       {core::ExtensionStrategy::kDiagonal, core::ExtensionStrategy::kHit,
+        core::ExtensionStrategy::kWindow}) {
+    auto config = base_config();
+    config.strategy = strategy;
+    const auto report = core::CuBlastp(config).search(w.query, w.db);
+    const double total = report.profile.total_time_ms();
+    ASSERT_GT(total, 0.0);
+    EXPECT_NEAR(report.gpu_critical_ms() + report.h2d_ms + report.d2h_ms,
+                total, 1e-12 * total)
+        << "strategy " << static_cast<int>(strategy);
+  }
+}
+
 TEST(CuBlastp, FineGrainedKernelsAreMostlyCoalesced) {
   // Fig. 19a: the fine-grained kernels achieve far better load efficiency
   // than the coarse baselines; detection/sort/filter should be well over

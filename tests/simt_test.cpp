@@ -392,6 +392,33 @@ TEST(Warp, ShflXorSwapsButterflyPartners) {
   EXPECT_EQ(engine.profile().at("shfl_xor").vec_ops, 4u);
 }
 
+TEST(Warp, ShflReadsSourceLane) {
+  simt::Engine engine;
+  LaunchConfig config{"shfl_indexed", 1, 32, 16};
+  LaneArray<int> reversed{};
+  LaneArray<int> windowed{};
+  LaneArray<int> broadcast{};
+  engine.launch(config, [&](simt::BlockCtx& ctx) {
+    ctx.par([&](simt::WarpExec& w) {
+      LaneArray<int> src{};
+      w.vec([&](int lane) {
+        reversed[lane] = windowed[lane] = broadcast[lane] = lane * 10;
+        src[lane] = 31 - lane;
+      });
+      w.shfl(reversed, src);
+      // At width 8 the source is taken modulo 8 inside the lane's window.
+      w.shfl(windowed, src, 8);
+      w.shfl(broadcast, 3, 8);
+    });
+  });
+  for (int lane = 0; lane < 32; ++lane) {
+    EXPECT_EQ(reversed[lane], (31 - lane) * 10);
+    EXPECT_EQ(windowed[lane], (lane - lane % 8 + (31 - lane) % 8) * 10);
+    EXPECT_EQ(broadcast[lane], (lane - lane % 8 + 3) * 10);
+  }
+  EXPECT_EQ(engine.profile().at("shfl_indexed").vec_ops, 4u);
+}
+
 // --- shared memory / launch validation -------------------------------------
 
 TEST(SharedMemory, AllocationAndHighWater) {

@@ -24,7 +24,9 @@
 #include "core/cublastp.hpp"
 #include "core/device_data.hpp"
 #include "core/gapped_kernel.hpp"
+#include "core/kernels.hpp"
 #include "core/prefilter.hpp"
+#include "flat_list_reference.hpp"
 #include "gpualgo/segsort.hpp"
 #include "simt/device_buffer.hpp"
 #include "util/rng.hpp"
@@ -192,6 +194,53 @@ TEST(SimtCheckClean, SegmentedSortEveryPath) {
     for (std::size_t s = 0; s + 1 < offsets.size(); ++s)
       EXPECT_TRUE(std::is_sorted(data.begin() + offsets[s],
                                  data.begin() + offsets[s + 1]));
+  }
+}
+
+TEST(SimtCheckClean, FlatSegmentListAndWindowClaiming) {
+  // K4's flat segment list and the three K5 kernels over hand-built uneven
+  // bins — one long segment among hundreds of short ones, so windows claim
+  // segments all the way through — serial and SM-sharded.
+  const auto query = bio::make_benchmark_query(200).residues;
+  auto profile = bio::DatabaseProfile::swissprot_like(40);
+  profile.homolog_fraction = 0.1;
+  const bio::SequenceDatabase db =
+      bio::DatabaseGenerator(profile, 353).generate(query);
+  blast::SearchParams params;
+  params.ungapped_cutoff = 0;
+  const blast::WordLookup lookup(query, bio::Blosum62::instance(), params);
+  const bio::Pssm pssm(query, bio::Blosum62::instance());
+  const core::QueryDevice dq(query, lookup, pssm);
+  const core::BlockDevice blk(db, 0, db.size());
+  const core::AssembledBins assembled =
+      testref::make_uneven_bins(db, 200, 59);
+  const auto expected = testref::reference_extensions(
+      testref::flat_reference(assembled, params), db, pssm, params);
+
+  for (const auto strategy :
+       {core::ExtensionStrategy::kWindow, core::ExtensionStrategy::kDiagonal,
+        core::ExtensionStrategy::kHit}) {
+    for (const int window_size : {2, 8}) {
+      for (const int workers : {1, 4}) {
+        core::Config config;
+        config.params = params;
+        config.strategy = strategy;
+        config.window_size = window_size;
+        simt::Engine engine;
+        engine.set_simtcheck_enabled(true);
+        engine.set_workers(workers);
+        const auto filtered = core::launch_filter(engine, config, assembled);
+        auto result = core::launch_extension(engine, config, dq, blk,
+                                             filtered);
+        EXPECT_EQ(engine.hazards().total, 0u)
+            << "strategy " << static_cast<int>(strategy) << " window "
+            << window_size << " workers " << workers << "\n"
+            << engine.hazards().summary();
+        EXPECT_GT(engine.hazards().collectives_checked, 0u);
+        std::sort(result.extensions.begin(), result.extensions.end());
+        EXPECT_EQ(result.extensions, expected);
+      }
+    }
   }
 }
 

@@ -171,6 +171,33 @@ TEST(SimtCheck, DivergentShflXorDetected) {
   EXPECT_EQ(rec.detail, "shfl_xor");
 }
 
+TEST(SimtCheck, DivergentShflDetected) {
+  auto engine = checked_engine();
+  engine.launch(launch_shape("divergent_shfl", 1, 32),
+                [](simt::BlockCtx& ctx) {
+                  ctx.par([&](simt::WarpExec& w) {
+                    simt::LaneArray<std::uint64_t> keys{};
+                    // Half of the first 8-lane window reads a window whose
+                    // other lanes are inactive.
+                    w.if_then([](int lane) { return lane < 4; },
+                              [&] { w.shfl(keys, 7, 8); });
+                    // Whole windows active: the window total broadcast of
+                    // the window extension is clean.
+                    w.if_then([](int lane) { return lane < 16; },
+                              [&] { w.shfl(keys, 3, 8); });
+                  });
+                });
+  const auto& report = engine.hazards();
+  EXPECT_EQ(report.total, 1u);
+  EXPECT_EQ(report.count(simt::HazardKind::kDivergentCollective), 1u);
+  ASSERT_FALSE(report.records.empty());
+  const auto& rec = report.records[0];
+  EXPECT_EQ(rec.kernel, "divergent_shfl");
+  EXPECT_EQ(rec.active_mask, 0xfu);
+  EXPECT_EQ(rec.width, 8);
+  EXPECT_EQ(rec.detail, "shfl");
+}
+
 TEST(SimtCheck, WindowUniformMaskIsNotDivergent) {
   auto engine = checked_engine();
   // Whole windows inactive is the pattern the production kernels use
