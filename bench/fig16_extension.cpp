@@ -4,8 +4,12 @@
 // Paper: (a) window-based is fastest — 24/20/12% faster than diagonal-
 // based and 38/36/27% faster than hit-based for query127/517/1054;
 // (b) window-based also has by far the lowest divergence overhead.
+// Each strategy's K5 warp steps are reported beside its time, so the gap
+// also shows as a count.
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "common.hpp"
 
@@ -34,6 +38,8 @@ int main(int argc, char** argv) {
                           "window vs hit"});
   util::Table div_table({"query", "diagonal divergence", "hit divergence",
                          "window divergence"});
+  util::Table ops_table({"query", "diagonal warp steps", "hit warp steps",
+                         "window warp steps"});
   std::ostringstream runs;
   runs << "[";
   bool first = true;
@@ -41,13 +47,15 @@ int main(int argc, char** argv) {
     const auto w = benchx::make_workload(setup, qlen, /*env_nr=*/false);
     double ms[3] = {};
     double divergence[3] = {};
+    std::uint64_t warp_ops[3] = {};
     for (int s = 0; s < 3; ++s) {
       auto config = benchx::default_cublastp_config();
       config.strategy = strategies[s].strategy;
       const auto report = core::CuBlastp(config).search(w.query, w.db);
+      const auto& k5 = report.profile.at(core::kKernelExtension);
       ms[s] = report.extension_ms;
-      divergence[s] =
-          report.profile.at(core::kKernelExtension).divergence_overhead();
+      divergence[s] = k5.divergence_overhead();
+      warp_ops[s] = k5.vec_ops;
     }
     time_table.add_row(
         {w.query_name, util::Table::num(ms[0], 2), util::Table::num(ms[1], 2),
@@ -57,6 +65,9 @@ int main(int argc, char** argv) {
     div_table.add_row({w.query_name, util::Table::num(divergence[0], 3),
                        util::Table::num(divergence[1], 3),
                        util::Table::num(divergence[2], 3)});
+    ops_table.add_row({w.query_name, std::to_string(warp_ops[0]),
+                       std::to_string(warp_ops[1]),
+                       std::to_string(warp_ops[2])});
     if (!first) runs << ", ";
     first = false;
     runs << "{\"query\": \"" << w.query_name
@@ -64,13 +75,17 @@ int main(int argc, char** argv) {
          << ", \"window_ms\": " << ms[2]
          << ", \"diagonal_divergence\": " << divergence[0]
          << ", \"hit_divergence\": " << divergence[1]
-         << ", \"window_divergence\": " << divergence[2] << "}";
+         << ", \"window_divergence\": " << divergence[2]
+         << ", \"diagonal_warp_ops\": " << warp_ops[0]
+         << ", \"hit_warp_ops\": " << warp_ops[1]
+         << ", \"window_warp_ops\": " << warp_ops[2] << "}";
   }
   runs << "]";
   std::printf("(a) ungapped-extension kernel time\n%s\n",
               time_table.render().c_str());
   std::printf("(b) divergence overhead (fraction of issue slots idle)\n%s",
               div_table.render().c_str());
+  std::printf("\n(c) K5 warp steps\n%s", ops_table.render().c_str());
 
   benchx::BenchResult json("fig16_extension",
                            benchx::default_cublastp_config(), setup);

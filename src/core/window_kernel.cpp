@@ -1,22 +1,35 @@
 // Algorithm 5: window-based ungapped extension (paper §3.4, Fig. 8/9d).
 //
 // A warp is divided into windows of `window_size` lanes; each window walks
-// one (sequence, diagonal) segment and extends its hits cooperatively: per
-// round, the window's lanes score `window_size` consecutive positions,
-// compute the running score with an inclusive plus-scan (the CUB-style
-// PrefixSum of Fig. 8), the running best with an inclusive max-scan, the
-// ChangeSinceBest/DropFlag per position, and stop at the first flagged
-// position. The result is bit-identical to the scalar x-drop extension —
-// verified by tests — while replacing the per-lane serial loop with
-// log2(window) warp steps per window of positions.
+// one (sequence, diagonal) segment and extends its hits cooperatively. Per
+// round, the window's lanes score `window_size` consecutive positions, an
+// inclusive plus-scan gives the running score (the CUB-style PrefixSum of
+// Fig. 8) and an inclusive max-scan the running best. The rest of the
+// round is two votes and two broadcasts, as a CUDA port does it with
+// __ballot_sync, __ffs and __shfl_sync:
+//
+//  * a ballot of the DropFlags (ChangeSinceBest > X); the lowest set bit
+//    of the window's slice is the first drop, the round's limit;
+//  * a shfl of the running best from the limit lane: the best score up to
+//    the limit, since the max-scan is monotone;
+//  * a ballot of the lanes up to the limit that reach a new best; the
+//    lowest set bit is the first such position, the offset the scalar
+//    extension's strict `>` keeps;
+//  * a shfl of the running score from the window's last lane, carried into
+//    the next round.
+//
+// The two halves of an extension share one loop: a window runs its right
+// half, and in the round after that half drops it starts its left half, so
+// it never waits for the slowest right half of its warp. The result is
+// bit-identical to the scalar x-drop extension (verified by tests).
 //
 // Each warp owns one contiguous slice of K4's flat segment list. A window
 // whose segment ends claims the slice's next unclaimed segment (ballot +
 // popcount rank on a warp-uniform cursor), so no window idles while its
 // warp still has segments left.
 #include <algorithm>
+#include <array>
 #include <bit>
-#include <climits>
 #include <stdexcept>
 
 #include "core/extension_internal.hpp"
@@ -31,41 +44,56 @@ using simt::LaneArray;
 using simt::Mask;
 using simt::WarpExec;
 
-constexpr int kNegInf = INT_MIN / 4;
-constexpr std::uint32_t kBig = 1u << 30;
 constexpr int kBoundaryScore = -100000;  ///< forces a DropFlag at the edge
 
-/// One direction of the window-based extension. Direction is encoded by
-/// the position mapping: `right` maps round offsets past the seed word,
-/// left maps them before it. All inputs are window-uniform.
+/// One half of the window-based extension.
 struct WindowHalf {
   LaneArray<int> gain{};            ///< best accumulated gain
   LaneArray<std::uint32_t> off{};   ///< scalar-compatible best offset
 };
 
-template <class PosMap>
-WindowHalf window_extend_half(WarpExec& w, const DeviceScoring& scoring,
-                              const std::uint8_t* residues, int window_size,
-                              int xdrop, PosMap&& map) {
-  WindowHalf half;
-  LaneArray<std::uint8_t> done{};
+enum : std::uint8_t { kRight = 0, kLeft = 1, kDone = 2 };
+
+/// Extends every active window's hit to the right and then to the left, in
+/// one loop. `right` and `left` map a lane and a half's offset to the
+/// query position and residue index to score, and return false past the
+/// sequence's edge. All inputs are window-uniform.
+template <class RightMap, class LeftMap>
+std::array<WindowHalf, 2> window_extend(WarpExec& w,
+                                        const DeviceScoring& scoring,
+                                        const std::uint8_t* residues,
+                                        int ws, int xdrop, RightMap&& right,
+                                        LeftMap&& left) {
+  // A window's bits of a ballot; ws = 32 takes the full mask without a
+  // shift by 32.
+  const Mask slice = simt::kFullMask >> (simt::kWarpSize - ws);
+  const auto window_bits = [&](Mask m, int lane) {
+    return (m >> (lane - lane % ws)) & slice;
+  };
+
+  std::array<WindowHalf, 2> halves;
+  LaneArray<std::uint8_t> dir{};  // kRight, kLeft, then kDone
   LaneArray<std::uint32_t> round{};
   LaneArray<int> carry_run{};
   LaneArray<int> carry_best{};
+  LaneArray<std::uint32_t> best_off{};
 
   w.loop_while(
-      [&](int lane) { return done[lane] == 0; },
+      [&](int lane) { return dir[lane] != kDone; },
       [&] {
-        // Per-lane position of this round.
-        LaneArray<std::uint32_t> offset{};
+        // Per-lane position of this round in the window's current half.
         LaneArray<std::uint32_t> qp{};
         LaneArray<std::uint32_t> sidx{};
         LaneArray<std::uint8_t> valid{};
         w.vec([&](int lane) {
-          offset[lane] = round[lane] * static_cast<std::uint32_t>(
-                                           window_size) +
-                         static_cast<std::uint32_t>(lane % window_size);
-          valid[lane] = map(lane, offset[lane], qp[lane], sidx[lane]) ? 1 : 0;
+          const std::uint32_t offset =
+              round[lane] * static_cast<std::uint32_t>(ws) +
+              static_cast<std::uint32_t>(lane % ws);
+          valid[lane] = (dir[lane] == kRight
+                             ? right(lane, offset, qp[lane], sidx[lane])
+                             : left(lane, offset, qp[lane], sidx[lane]))
+                            ? 1
+                            : 0;
         });
 
         LaneArray<int> vals{};
@@ -78,88 +106,66 @@ WindowHalf window_extend_half(WarpExec& w, const DeviceScoring& scoring,
             },
             [&] { w.vec([&](int lane) { vals[lane] = kBoundaryScore; }); });
 
-        // PrefixSum (Fig. 8) with the carry from previous rounds.
-        w.window_inclusive_scan(vals, window_size);
+        // PrefixSum (Fig. 8) with the carry from previous rounds, and the
+        // running best; the carried best enters at the window's first lane.
+        w.window_inclusive_scan(vals, ws);
         LaneArray<int> prefix{};
-        w.vec([&](int lane) { prefix[lane] = carry_run[lane] + vals[lane]; });
-
-        // Running best including previous rounds.
-        LaneArray<int> best_scan = prefix;
-        w.window_inclusive_max_scan(best_scan, window_size);
         LaneArray<int> best_up_to{};
         w.vec([&](int lane) {
-          best_up_to[lane] = std::max(carry_best[lane], best_scan[lane]);
+          prefix[lane] = carry_run[lane] + vals[lane];
+          best_up_to[lane] = lane % ws == 0
+                                 ? std::max(carry_best[lane], prefix[lane])
+                                 : prefix[lane];
+        });
+        w.window_inclusive_max_scan(best_up_to, ws);
+
+        // First DropFlag of each window: the round's last position.
+        const Mask drops = w.ballot([&](int lane) {
+          return best_up_to[lane] - prefix[lane] > xdrop;
+        });
+        LaneArray<int> limit{};
+        w.vec([&](int lane) {
+          const Mask mine = window_bits(drops, lane);
+          limit[lane] = mine != 0 ? std::countr_zero(mine) : ws - 1;
         });
 
-        // DropFlag and the first flagged position of each window.
-        LaneArray<std::uint32_t> flag_key{};
-        w.vec([&](int lane) {
-          const bool drop = best_up_to[lane] - prefix[lane] > xdrop;
-          flag_key[lane] =
-              drop ? static_cast<std::uint32_t>(
-                         window_size - lane % window_size)
-                   : 0u;
-        });
-        LaneArray<std::uint32_t> first_key = flag_key;
-        w.window_reduce_max(first_key, window_size);
-
-        LaneArray<std::uint32_t> limit{};
-        LaneArray<std::uint8_t> flagged{};
-        w.vec([&](int lane) {
-          flagged[lane] = first_key[lane] > 0 ? 1 : 0;
-          limit[lane] = flagged[lane]
-                            ? static_cast<std::uint32_t>(window_size) -
-                                  first_key[lane]
-                            : static_cast<std::uint32_t>(window_size - 1);
+        // Best score up to the limit, and the first position reaching it
+        // if it beats the carried best.
+        LaneArray<int> bounded = best_up_to;
+        w.shfl(bounded, limit, ws);
+        const Mask reach = w.ballot([&](int lane) {
+          return lane % ws <= limit[lane] && prefix[lane] == bounded[lane] &&
+                 bounded[lane] > carry_best[lane];
         });
 
-        // Best score over positions up to the limit (monotone scan makes
-        // this the value at the limit lane; reduce to broadcast it).
-        LaneArray<int> bounded{};
-        w.vec([&](int lane) {
-          bounded[lane] =
-              static_cast<std::uint32_t>(lane % window_size) <= limit[lane]
-                  ? best_up_to[lane]
-                  : kNegInf;
-        });
-        w.window_reduce_max(bounded, window_size);
-
-        // Arg of the new best (first position attaining it), if improved.
-        LaneArray<std::uint32_t> arg_key{};
-        w.vec([&](int lane) {
-          const bool attains =
-              static_cast<std::uint32_t>(lane % window_size) <=
-                  limit[lane] &&
-              prefix[lane] == bounded[lane] &&
-              bounded[lane] > carry_best[lane];
-          arg_key[lane] = attains ? kBig - offset[lane] : 0u;
-        });
-        w.window_reduce_max(arg_key, window_size);
-
-        // Carry-out of the running sum (value at the window's last lane).
-        LaneArray<int> carry_key{};
-        w.vec([&](int lane) {
-          carry_key[lane] =
-              lane % window_size == window_size - 1 ? prefix[lane] : kNegInf;
-        });
-        w.window_reduce_max(carry_key, window_size);
+        // Running score at the window's last lane, for the next round.
+        LaneArray<int> carry_out = prefix;
+        w.shfl(carry_out, ws - 1, ws);
 
         w.vec([&](int lane) {
-          if (bounded[lane] > carry_best[lane]) {
+          const Mask first_best = window_bits(reach, lane);
+          if (first_best != 0) {
             carry_best[lane] = bounded[lane];
-            half.off[lane] = kBig - arg_key[lane];  // offset of the best
+            best_off[lane] = round[lane] * static_cast<std::uint32_t>(ws) +
+                             static_cast<std::uint32_t>(
+                                 std::countr_zero(first_best));
           }
-          if (flagged[lane] != 0) {
-            done[lane] = 1;
-          } else {
-            carry_run[lane] = carry_key[lane];
+          if (window_bits(drops, lane) == 0) {
+            carry_run[lane] = carry_out[lane];
             ++round[lane];
+            return;
           }
+          // The half dropped: record it and start the next one.
+          WindowHalf& half = halves[dir[lane]];
+          half.gain[lane] = carry_best[lane];
+          half.off[lane] = best_off[lane];
+          ++dir[lane];
+          round[lane] = 0;
+          carry_run[lane] = 0;
+          carry_best[lane] = 0;
         });
       });
-
-  w.vec([&](int lane) { half.gain[lane] = std::max(0, carry_best[lane]); });
-  return half;
+  return halves;
 }
 
 }  // namespace
@@ -275,8 +281,9 @@ void run_window_extension_kernel(simt::Engine& engine, const Config& config,
                   w.window_inclusive_scan(word_score, span);
                   w.shfl(word_score, span - 1, ws);
 
-                  // Right window (paper Fig. 8, right of the hit).
-                  const WindowHalf right = window_extend_half(
+                  // Right of the seed word, then left of it (paper Fig. 8),
+                  // in one loop.
+                  const std::array<WindowHalf, 2> halves = window_extend(
                       w, scoring, block.residues.data(), ws, xdrop,
                       [&](int lane, std::uint32_t offset, std::uint32_t& qp,
                           std::uint32_t& sx) {
@@ -285,12 +292,7 @@ void run_window_extension_kernel(simt::Engine& engine, const Config& config,
                         qp = q;
                         sx = h.seq_off[lane] + s;
                         return q < qlen && s < h.seq_len[lane];
-                      });
-
-                  // Left window (opposite direction, concurrently in the
-                  // paper; sequential rounds here, same result).
-                  const WindowHalf left = window_extend_half(
-                      w, scoring, block.residues.data(), ws, xdrop,
+                      },
                       [&](int lane, std::uint32_t offset, std::uint32_t& qp,
                           std::uint32_t& sx) {
                         const std::uint32_t dist = offset + 1;
@@ -301,6 +303,8 @@ void run_window_extension_kernel(simt::Engine& engine, const Config& config,
                                 : h.seq_off[lane];
                         return ok;
                       });
+                  const WindowHalf& right = halves[kRight];
+                  const WindowHalf& left = halves[kLeft];
 
                   extensions_run.fetch_add(
                       static_cast<std::uint64_t>(w.active_lanes() / ws),

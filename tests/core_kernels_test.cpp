@@ -6,6 +6,9 @@
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "bio/generator.hpp"
 #include "bio/pssm.hpp"
@@ -442,6 +445,215 @@ TEST(ExtensionKernels, UnevenSegmentsAcrossBins) {
           << "strategy " << static_cast<int>(strategy) << " window "
           << window_size;
     }
+  }
+}
+
+/// A query and subject residue whose BLOSUM62 score is `score`.
+std::pair<std::uint8_t, std::uint8_t> pair_scoring(int score) {
+  const auto& blosum = bio::Blosum62::instance();
+  for (std::uint8_t q = 0; q < bio::kNumRealAminoAcids; ++q)
+    for (std::uint8_t s = 0; s < bio::kNumRealAminoAcids; ++s)
+      if (blosum.score(q, s) == score) return {q, s};
+  throw std::invalid_argument("no BLOSUM62 pair scores " +
+                              std::to_string(score));
+}
+
+/// One hand-built extension. `left` and `right` are the scores of the
+/// positions beside the seed word, nearest first; past them five -4
+/// positions end the extension unless a sequence edge comes first.
+struct EdgeCase {
+  const char* name = "";
+  std::vector<int> left = {};
+  std::vector<int> right = {};
+  std::uint32_t left_off = 0;     ///< residues the left half adopts
+  std::uint32_t right_off = 0;    ///< residues the right half adopts
+  bool at_query_start = false;    ///< seed at query position 0
+  bool at_query_end = false;      ///< word ends the query
+  bool at_subject_start = false;  ///< seed at subject position 0
+  bool at_subject_end = false;    ///< word ends the subject
+  int copies = 1;                 ///< subjects sharing the query region
+};
+
+constexpr int kEdgeCopies = 12;
+
+TEST(ExtensionKernels, WindowRoundEdgeCases) {
+  const auto run_of = [](int n, int score) {
+    return std::vector<int>(static_cast<std::size_t>(n), score);
+  };
+  // Best 2 at offset 0, tied at offset 1 (the same round at every window
+  // size) and at every odd offset after it (later rounds).
+  const auto ties = [](int zigzags) {
+    std::vector<int> v = {2, 0};
+    for (int i = 0; i < zigzags; ++i) v.insert(v.end(), {-1, 1});
+    return v;
+  };
+  std::vector<int> ties_then_higher = ties(16);
+  ties_then_higher.insert(ties_then_higher.end(), {3, 0});  // 5 at 34, 35
+
+  const std::vector<EdgeCase> cases = {
+      {.name = "query start: no left position",
+       .right = {2, 2, -1, 3},
+       .right_off = 4,
+       .at_query_start = true},
+      {.name = "subject start: no left position",
+       .right = {3, -2, 4},
+       .right_off = 3,
+       .at_subject_start = true},
+      // Offset 31 is every window size's last lane, offset 32 its first.
+      {.name = "drop on the last lane",
+       .left = run_of(27, 11),
+       .right = run_of(27, 11),
+       .left_off = 27,
+       .right_off = 27},
+      {.name = "drop on the first lane of a later round",
+       .left = run_of(28, 11),
+       .right = run_of(28, 11),
+       .left_off = 28,
+       .right_off = 28},
+      // The first drop ends the half although the score then climbs past
+      // its best and drops again, all in one round at window sizes 16
+      // and 32.
+      {.name = "drop, then a higher score in the same round",
+       .left = {-4, -4, -4, -4, -4, 11, 11, 11},
+       .right = {-4, -4, -4, -4, -4, 11, 11, 11}},
+      {.name = "best reached again",
+       .left = ties_then_higher,
+       .right = ties(19),
+       .left_off = 35,
+       .right_off = 1},
+      // Halves that end in round 0 beside halves that run five rounds at
+      // window size 16; the copies alternate, so both share every warp.
+      {.name = "right ends at once, left runs",
+       .left = run_of(70, 11),
+       .left_off = 70,
+       .at_subject_end = true,
+       .copies = kEdgeCopies},
+      {.name = "left ends at once, right runs",
+       .right = run_of(70, 11),
+       .right_off = 70,
+       .at_subject_start = true,
+       .copies = kEdgeCopies},
+      {.name = "subject end: no right position",
+       .left = {11, -4, -4, 11},
+       .left_off = 4,
+       .at_subject_end = true},
+      {.name = "query end: no right position",
+       .left = {3, -2, 4},
+       .left_off = 3,
+       .at_query_end = true},
+  };
+
+  // The query holds each case's region in turn; each case has its own
+  // subjects.
+  const std::vector<int> word = {4, 4, 4};
+  const std::vector<int> guard = run_of(5, -4);
+  std::vector<std::uint8_t> query;
+  struct Region {
+    std::uint32_t qpos;
+    std::uint32_t spos;
+    std::vector<std::uint8_t> subject;
+  };
+  std::vector<Region> regions;
+  for (const EdgeCase& c : cases) {
+    // Sequence order: guard, left reversed, word, right, guard.
+    std::vector<int> scores;
+    if (!c.at_query_start && !c.at_subject_start)
+      scores.insert(scores.end(), guard.begin(), guard.end());
+    scores.insert(scores.end(), c.left.rbegin(), c.left.rend());
+    const auto seed = static_cast<std::uint32_t>(scores.size());
+    scores.insert(scores.end(), word.begin(), word.end());
+    scores.insert(scores.end(), c.right.begin(), c.right.end());
+    if (!c.at_query_end && !c.at_subject_end)
+      scores.insert(scores.end(), guard.begin(), guard.end());
+
+    std::vector<std::uint8_t> q_part, s_part;
+    for (const int score : scores) {
+      const auto [q, s] = pair_scoring(score);
+      q_part.push_back(q);
+      s_part.push_back(s);
+    }
+    // At a sequence edge the other sequence goes on, so that one edge
+    // alone ends the half.
+    const auto [q_pad, s_pad] = pair_scoring(-4);
+    const std::size_t pad = 5;
+    std::uint32_t q_seed = seed, s_seed = seed;
+    if (c.at_query_start) {
+      s_part.insert(s_part.begin(), pad, s_pad);
+      s_seed += pad;
+    }
+    if (c.at_subject_start) {
+      q_part.insert(q_part.begin(), pad, q_pad);
+      q_seed += pad;
+    }
+    if (c.at_query_end) s_part.insert(s_part.end(), pad, s_pad);
+    if (c.at_subject_end) q_part.insert(q_part.end(), pad, q_pad);
+    regions.push_back(
+        {static_cast<std::uint32_t>(query.size()) + q_seed, s_seed, s_part});
+    query.insert(query.end(), q_part.begin(), q_part.end());
+  }
+  ASSERT_EQ(regions.front().qpos, 0u);
+  ASSERT_EQ(regions.back().qpos + word.size(), query.size());
+
+  // Subjects round-robin over the cases' copies, one hit each.
+  std::vector<bio::Sequence> subjects;
+  std::vector<std::uint64_t> hits;
+  std::vector<std::size_t> case_of;  // by subject
+  for (int copy = 0; copy < kEdgeCopies; ++copy) {
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      if (copy >= cases[i].copies) continue;
+      const Region& r = regions[i];
+      const auto seq = static_cast<std::uint32_t>(subjects.size());
+      subjects.push_back({"edge" + std::to_string(seq), cases[i].name,
+                          r.subject});
+      hits.push_back(core::pack_hit(seq,
+                                    static_cast<std::int32_t>(r.spos) -
+                                        static_cast<std::int32_t>(r.qpos),
+                                    r.spos));
+      case_of.push_back(i);
+    }
+  }
+
+  blast::SearchParams params;
+  params.one_hit = true;              // every placed hit survives K4
+  params.ungapped_cutoff = -1000000;  // and every extension is recorded
+  const bio::SequenceDatabase db(std::move(subjects));
+  const blast::WordLookup lookup(query, bio::Blosum62::instance(), params);
+  const bio::Pssm pssm(query, bio::Blosum62::instance());
+  const core::QueryDevice device_query(query, lookup, pssm);
+  const core::BlockDevice device_block(db, 0, db.size());
+  const core::AssembledBins assembled = testref::make_bins({hits});
+  std::uint64_t reference_runs = 0;
+  const auto expected = testref::reference_extensions(
+      testref::flat_reference(assembled, params), db, pssm, params,
+      &reference_runs);
+  ASSERT_EQ(expected.size(), hits.size());
+
+  // The scalar reference ends every case where it was built to end.
+  for (const blast::UngappedExtension& ext : expected) {
+    const EdgeCase& c = cases[case_of[ext.seq]];
+    const std::uint32_t qpos = regions[case_of[ext.seq]].qpos;
+    EXPECT_EQ(qpos - ext.q_start, c.left_off) << c.name;
+    EXPECT_EQ(ext.q_end - (qpos + 2), c.right_off) << c.name;
+  }
+
+  auto config = small_kernel_config();
+  config.params = params;
+  config.strategy = core::ExtensionStrategy::kDiagonal;
+  simt::Engine engine;
+  const auto filtered = core::launch_filter(engine, config, assembled);
+  const auto diagonal = core::launch_extension(engine, config, device_query,
+                                               device_block, filtered);
+  EXPECT_EQ(diagonal.extensions_run, reference_runs);
+
+  config.strategy = core::ExtensionStrategy::kWindow;
+  for (const int window_size : {2, 4, 8, 16, 32}) {
+    config.window_size = window_size;
+    auto result = core::launch_extension(engine, config, device_query,
+                                         device_block, filtered);
+    std::sort(result.extensions.begin(), result.extensions.end());
+    EXPECT_EQ(result.extensions, expected) << "window " << window_size;
+    EXPECT_EQ(result.extensions_run, diagonal.extensions_run)
+        << "window " << window_size;
   }
 }
 

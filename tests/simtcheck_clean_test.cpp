@@ -200,7 +200,8 @@ TEST(SimtCheckClean, SegmentedSortEveryPath) {
 TEST(SimtCheckClean, FlatSegmentListAndWindowClaiming) {
   // K4's flat segment list and the three K5 kernels over hand-built uneven
   // bins — one long segment among hundreds of short ones, so windows claim
-  // segments all the way through — serial and SM-sharded.
+  // segments all the way through — serial and SM-sharded. At window size
+  // 32 one window spans the warp and its ballot slice is the full mask.
   const auto query = bio::make_benchmark_query(200).residues;
   auto profile = bio::DatabaseProfile::swissprot_like(40);
   profile.homolog_fraction = 0.1;
@@ -220,7 +221,7 @@ TEST(SimtCheckClean, FlatSegmentListAndWindowClaiming) {
   for (const auto strategy :
        {core::ExtensionStrategy::kWindow, core::ExtensionStrategy::kDiagonal,
         core::ExtensionStrategy::kHit}) {
-    for (const int window_size : {2, 8}) {
+    for (const int window_size : {2, 8, 16, 32}) {
       for (const int workers : {1, 4}) {
         core::Config config;
         config.params = params;
