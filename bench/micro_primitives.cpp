@@ -129,7 +129,7 @@ int main(int argc, char** argv) {
                        static_cast<std::uint64_t>(score < 0 ? 0 : score));
   }
 
-  // --- gapped extension: score-only and full traceback -------------------
+  // --- gapped extension: the recorded DP, and the DP plus its walk-back --
   {
     util::Rng rng(13);
     auto query = bio::random_protein(400, rng);
@@ -140,13 +140,16 @@ int main(int argc, char** argv) {
     const bio::Pssm pssm(query, bio::Blosum62::instance());
 
     std::int64_t score = 0;
+    std::uint64_t cells = 0;
     timing.run("gapped_score", [&] {
       const auto out = blast::gapped_score(pssm, subject, 200, 140, params);
       score = out.score;
+      cells = out.cells;
       do_not_optimize(score);
     });
     json.deterministic("gapped_score",
                        static_cast<std::uint64_t>(score < 0 ? 0 : score));
+    json.deterministic("gapped_cells", cells);
 
     std::int64_t tb_score = 0;
     std::uint64_t tb_length = 0;

@@ -163,6 +163,7 @@ CoarseReport CoarseSession::search(std::span<const std::uint8_t> query) {
   report.traceback_seconds = stage.traceback_seconds;
   report.result.counters.gapped_extensions = stage.gapped_extensions;
   report.result.counters.tracebacks = stage.tracebacks;
+  report.result.counters.dp_cells = stage.dp_cells;
 
   {
     util::TraceSpan finalize_span("finalize", "baseline");

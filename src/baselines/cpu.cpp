@@ -69,6 +69,7 @@ blast::SearchResult fsa_blast_search(std::span<const std::uint8_t> query,
   result.timings.traceback = stage.traceback_seconds;
   result.counters.gapped_extensions = stage.gapped_extensions;
   result.counters.tracebacks = stage.tracebacks;
+  result.counters.dp_cells = stage.dp_cells;
 
   {
     util::ScopedAccumulator finalize_time(result.timings.other);
@@ -142,6 +143,7 @@ blast::SearchResult ncbi_mt_search(std::span<const std::uint8_t> query,
       util::list_schedule_makespan(stage.traceback_task_costs, threads);
   result.counters.gapped_extensions = stage.gapped_extensions;
   result.counters.tracebacks = stage.tracebacks;
+  result.counters.dp_cells = stage.dp_cells;
 
   {
     util::ScopedAccumulator finalize_time(result.timings.other);

@@ -3,343 +3,265 @@
 #include <algorithm>
 #include <cassert>
 #include <climits>
-#include <functional>
-#include <string>
-#include <vector>
+#include <cstddef>
+#include <utility>
 
 namespace repro::blast {
 
 namespace {
 
+// Values derived from kNegInf (a few gap costs or scores away) stay far
+// below any live cell, so no cell needs to test for it.
 constexpr int kNegInf = INT_MIN / 4;
 
-// Direction byte layout for traceback.
-enum HSource : std::uint8_t { kDiag = 0, kFromE = 1, kFromF = 2, kStart = 3 };
+// Direction byte of a cell. H came from the diagonal unless kNotDiag is
+// set, else from E unless kNotE is set, else from F: ties break diagonal,
+// then E, then F. The other two bits say whether E and F extend a gap.
+constexpr std::uint8_t kNotDiag = 1 << 0;
+constexpr std::uint8_t kNotE = 1 << 1;
 constexpr std::uint8_t kESrcExtend = 1 << 2;  // E came from E (else from H)
 constexpr std::uint8_t kFSrcExtend = 1 << 3;  // F came from F (else from H)
 
-struct HalfResult {
-  int score = 0;
-  std::uint32_t q_reach = 0;  ///< query residues consumed past the seed
-  std::uint32_t s_reach = 0;  ///< subject residues consumed past the seed
-  std::string ops;            ///< in sequence order away from the seed
-};
+}  // namespace
 
-/// Reusable per-thread scratch to avoid reallocating DP rows per seed.
-struct Scratch {
-  std::vector<int> h_prev, f_prev, h_cur, f_cur;
-  std::vector<std::uint8_t> dirs;          // all rows, flattened
-  std::vector<int> row_lo, row_hi;         // per-row band
-  std::vector<std::size_t> row_offset;     // row start in dirs
-};
+GappedAligner::GappedAligner(const bio::Pssm& pssm,
+                             const SearchParams& params)
+    : pssm_(pssm),
+      xdrop_(params.gapped_xdrop),
+      open_cost_(params.gap_open + params.gap_extend),
+      extend_cost_(params.gap_extend) {}
 
-thread_local Scratch tls_scratch;
+/// One x-drop half extension away from the seed. Row i is the i-th query
+/// residue past the seed and column j the j-th subject residue, both in the
+/// direction kDir (+1 right, -1 left); row 0 and column 0 are the seed.
+template <int kDir>
+GappedAligner::Half GappedAligner::extend_half(
+    Record& record, const std::uint8_t* seed_residue, std::uint32_t qseed,
+    int q_avail, int s_avail) {
+  record.rows.clear();
+  record.used = 0;
+  record.best_row = record.best_col = 0;
+  if (q_avail == 0 && s_avail == 0) return {};
 
-/// One x-drop half extension. score_at(i, j) gives the substitution score
-/// of the i-th query residue vs the j-th subject residue away from the seed
-/// (both 1-based). q_avail/s_avail bound i/j.
-HalfResult extend_half(const std::function<int(int, int)>& score_at,
-                       std::size_t q_avail, std::size_t s_avail,
-                       const SearchParams& params, bool want_traceback) {
-  HalfResult result;
-  if (q_avail == 0 && s_avail == 0) return result;
-
-  const int x = params.gapped_xdrop;
-  const int open_cost = params.gap_open + params.gap_extend;
-  const int extend_cost = params.gap_extend;
-
-  Scratch& sc = tls_scratch;
-  const std::size_t width = s_avail + 2;
-  if (sc.h_prev.size() < width) {
-    sc.h_prev.resize(width);
-    sc.f_prev.resize(width);
-    sc.h_cur.resize(width);
-    sc.f_cur.resize(width);
+  // Rows hold columns -1 .. s_avail + 1; -1 and one past a band's end are
+  // -inf sentinels, so a row's main loop needs no band tests.
+  const auto width = static_cast<std::size_t>(s_avail) + 3;
+  if (prev_row_.size() < width) {
+    prev_row_.resize(width);
+    cur_row_.resize(width);
   }
-  sc.dirs.clear();
-  sc.row_lo.clear();
-  sc.row_hi.clear();
-  sc.row_offset.clear();
+  Cell* prev = prev_row_.data() + 1;
+  Cell* cur = cur_row_.data() + 1;
 
+  const int x = xdrop_, open = open_cost_, ext = extend_cost_;
+  constexpr std::ptrdiff_t step = kDir;
   int best = 0, best_i = 0, best_j = 0;
+  int floor = best - x;  // a cell is live iff its H reaches this
+  std::uint64_t cells = 0;
 
-  // Row 0: leading gap in the query (consuming subject residues).
-  int lo = 0, hi = 0;
-  sc.h_prev[0] = 0;
-  sc.f_prev[0] = kNegInf;
-  if (want_traceback) {
-    sc.row_lo.push_back(0);
-    sc.row_offset.push_back(0);
-    sc.dirs.push_back(kStart);
-  }
-  for (int j = 1; j <= static_cast<int>(s_avail); ++j) {
-    const int val = -(open_cost + (j - 1) * extend_cost);
-    if (val < best - x) break;
-    sc.h_prev[static_cast<std::size_t>(j)] = val;
-    sc.f_prev[static_cast<std::size_t>(j)] = kNegInf;
-    hi = j;
-    if (want_traceback)
-      sc.dirs.push_back(static_cast<std::uint8_t>(
-          kFromE | (j > 1 ? kESrcExtend : 0)));
-  }
-  if (want_traceback) sc.row_hi.push_back(hi);
+  // A row's direction bytes from column first_col on; room for the rest of
+  // the subject, the row's widest possible extent.
+  auto begin_row = [&](int first_col) {
+    const std::size_t need =
+        record.used + static_cast<std::size_t>(s_avail - first_col + 1);
+    if (record.dirs.size() < need)
+      record.dirs.resize(std::max(need, 2 * record.dirs.size()));
+    record.rows.push_back(Row{record.used, first_col});
+    return record.dirs.data() + record.used;
+  };
 
-  // Subsequent rows.
-  for (int i = 1; i <= static_cast<int>(q_avail); ++i) {
-    const int prev_lo = lo, prev_hi = hi;
-    int new_lo = -1, new_hi = -1;
-    int e = kNegInf;         // E(i, j) running along the row
-    int h_left = kNegInf;    // H(i, j-1)
-    const std::size_t dir_base = sc.dirs.size();
-    int row_start_j = prev_lo;  // leftmost cell this row can populate
-
-    for (int j = row_start_j; j <= static_cast<int>(s_avail); ++j) {
-      // Candidate values.
-      int h_diag = kNegInf;
-      if (j == 0) {
-        // Leading gap in the subject: H(i,0) via the F chain only.
-        const int val = -(open_cost + (i - 1) * extend_cost);
-        const int f0 = val;
-        const int h0 = val;
-        std::uint8_t dir = kFromF;
-        if (i > 1) dir |= kFSrcExtend;
-        if (h0 >= best - x) {
-          sc.h_cur[0] = h0;
-          sc.f_cur[0] = f0;
-          if (new_lo < 0) new_lo = 0;
-          new_hi = 0;
-          if (want_traceback) sc.dirs.push_back(dir);
-          h_left = h0;
-        } else {
-          h_left = kNegInf;
-          if (new_lo < 0) row_start_j = j + 1;
-        }
-        e = kNegInf;
-        continue;
-      }
-      if (j - 1 >= prev_lo && j - 1 <= prev_hi)
-        h_diag = sc.h_prev[static_cast<std::size_t>(j - 1)] + score_at(i, j);
-
-      const int e_open = h_left == kNegInf ? kNegInf : h_left - open_cost;
-      const int e_ext = e == kNegInf ? kNegInf : e - extend_cost;
+  // Past the previous row's band only E (a gap in the query) can feed a
+  // cell, and E stays below the H of the cell to its left, so the row ends
+  // at its first dead cell and the best cannot move. Returns the last
+  // column.
+  auto extend_tail = [&](int j, int h_left, int e, Cell* row,
+                         std::uint8_t* dir) {
+    for (; j <= s_avail; ++j) {
+      ++cells;
+      const int e_open = h_left - open, e_ext = e - ext;
       const int e_val = std::max(e_open, e_ext);
+      if (e_val < floor) break;
+      *dir++ = static_cast<std::uint8_t>(
+          kNotDiag | (e_ext >= e_open ? kESrcExtend : 0));
+      row[j] = Cell{e_val, kNegInf};
+      h_left = e = e_val;
+    }
+    return j - 1;
+  };
 
-      int f_open = kNegInf, f_ext = kNegInf;
-      if (j >= prev_lo && j <= prev_hi) {
-        f_open = sc.h_prev[static_cast<std::size_t>(j)] - open_cost;
-        if (sc.f_prev[static_cast<std::size_t>(j)] != kNegInf)
-          f_ext = sc.f_prev[static_cast<std::size_t>(j)] - extend_cost;
-      }
+  // Row 0: the seed cell, then a leading gap in the query.
+  std::uint8_t* dir = begin_row(0);
+  *dir = 0;  // the seed: the walk stops here
+  prev[0] = Cell{0, kNegInf};
+  int lo = 0;
+  int hi = extend_tail(1, 0, kNegInf, prev, dir + 1);
+  record.used += static_cast<std::size_t>(hi + 1);
+
+  // Row i scores against the PSSM column of query position qseed + kDir*i.
+  const bio::Score* col = pssm_.device_buffer().data() +
+                          static_cast<std::size_t>(qseed) *
+                              bio::kPaddedMatrixDim;
+  for (int i = 1; i <= q_avail; ++i) {
+    col += step * bio::kPaddedMatrixDim;
+    prev[lo - 1].h = kNegInf;
+    prev[hi + 1] = Cell{kNegInf, kNegInf};
+    const int last = std::min(hi + 1, s_avail);
+    dir = begin_row(lo);
+
+    // Main loop over [lo, hi + 1]: every read is inside the previous band
+    // or on a sentinel. A dead cell stores -inf for the next row, so
+    // nothing grows from it there. Along the row its raw H still feeds E,
+    // but an E value that passes a dead cell stays below the floor, so it
+    // never makes a cell live, sets a live cell's value or wins its tie.
+    const Cell* up = prev + lo;
+    Cell* out = cur + lo;
+    const std::uint8_t* residue = seed_residue + step * lo;
+    const int n = last - lo + 1;
+    int h_left = kNegInf, e = kNegInf;
+    int h_up_left = up[-1].h;
+    for (int k = 0; k < n; ++k) {
+      const int h_up = up[k].h;
+      const int h_diag = h_up_left + col[residue[step * k]];
+      h_up_left = h_up;
+      const int e_open = h_left - open, e_ext = e - ext;
+      const int e_val = std::max(e_open, e_ext);
+      const int f_open = h_up - open, f_ext = up[k].f - ext;
       const int f_val = std::max(f_open, f_ext);
-
-      int h = std::max({h_diag, e_val, f_val});
-      std::uint8_t dir;
-      if (h == kNegInf) {
-        dir = kStart;
-      } else if (h == h_diag) {
-        dir = kDiag;
-      } else if (h == e_val) {
-        dir = kFromE;
-      } else {
-        dir = kFromF;
-      }
-      if (e_val != kNegInf && e_val == e_ext) dir |= kESrcExtend;
-      if (f_val != kNegInf && f_val == f_ext) dir |= kFSrcExtend;
-
-      const bool alive =
-          (h != kNegInf && h >= best - x) ||
-          (e_val != kNegInf && e_val >= best - x) ||
-          (f_val != kNegInf && f_val >= best - x);
-
-      if (!alive) {
-        if (new_lo < 0) {
-          // Still hunting for the first live cell of this row.
-          h_left = kNegInf;
-          e = kNegInf;
-          row_start_j = j + 1;
-          continue;
-        }
-        // Past the live region: nothing to the right can revive once we
-        // are beyond the previous row's band (no diag/F feed) and the E
-        // chain is dead.
-        if (j > prev_hi + 1) break;
-        h_left = kNegInf;
-        e = e_val;
-        // Record a dead cell so traceback indexing stays dense.
-        sc.h_cur[static_cast<std::size_t>(j)] = kNegInf;
-        sc.f_cur[static_cast<std::size_t>(j)] = kNegInf;
-        new_hi = j;
-        if (want_traceback) sc.dirs.push_back(dir);
-        continue;
-      }
-
-      if (new_lo < 0) new_lo = j;
-      new_hi = j;
-      sc.h_cur[static_cast<std::size_t>(j)] = h;
-      sc.f_cur[static_cast<std::size_t>(j)] = f_val;
-      if (want_traceback) sc.dirs.push_back(dir);
+      const int h = std::max(std::max(h_diag, f_val), e_val);
+      dir[k] = static_cast<std::uint8_t>(
+          (h != h_diag ? kNotDiag : 0) | (h != e_val ? kNotE : 0) |
+          (e_ext >= e_open ? kESrcExtend : 0) |
+          (f_ext >= f_open ? kFSrcExtend : 0));
+      const bool alive = h >= floor;
+      out[k] = Cell{alive ? h : kNegInf, alive ? f_val : kNegInf};
       h_left = h;
       e = e_val;
-
-      if (h > best) {
+      if (h > best) [[unlikely]] {
         best = h;
         best_i = i;
-        best_j = j;
+        best_j = lo + k;
+        floor = best - x;
       }
     }
-
-    if (new_lo < 0) break;  // row empty: extension exhausted
-    lo = new_lo;
-    hi = new_hi;
-    if (want_traceback) {
-      sc.row_lo.push_back(lo);
-      sc.row_hi.push_back(hi);
-      sc.row_offset.push_back(dir_base + static_cast<std::size_t>(
-          lo - row_start_j > 0 ? 0 : 0));
-      // dirs for this row start at dir_base and cover [row_start_actual, hi];
-      // row_start_actual equals new_lo only if no dead prefix was recorded.
-      // We recorded bytes starting at the first *recorded* cell, which is
-      // new_lo (dead prefix cells were skipped, dead suffix cells recorded).
-      sc.row_offset.back() = dir_base;
+    cells += static_cast<std::uint64_t>(n);
+    int first_live = 0;
+    while (first_live < n && out[first_live].h == kNegInf) ++first_live;
+    if (first_live == n) {
+      // No live cell by the band's end: the extension is exhausted.
+      record.rows.pop_back();
+      break;
     }
-    std::swap(sc.h_prev, sc.h_cur);
-    std::swap(sc.f_prev, sc.f_cur);
+    // The next row's band spans this row's live cells, from the first to
+    // the last or to the end of the E chain that runs on from a live last
+    // cell: past a dead cell only E can feed a cell, and that E is dead.
+    int last_live = n - 1;
+    while (out[last_live].h == kNegInf) --last_live;
+    hi = last_live == n - 1 ? extend_tail(last + 1, h_left, e, cur, dir + n)
+                            : lo + last_live;
+    record.used += static_cast<std::size_t>(hi - lo + 1);
+    lo += first_live;
+    std::swap(prev, cur);
   }
 
-  result.score = best;
-  result.q_reach = static_cast<std::uint32_t>(best_i);
-  result.s_reach = static_cast<std::uint32_t>(best_j);
-
-  if (want_traceback && (best_i > 0 || best_j > 0)) {
-    // Walk direction bytes from (best_i, best_j) back to (0, 0).
-    auto dir_at = [&](int i, int j) -> std::uint8_t {
-      const std::size_t row = static_cast<std::size_t>(i);
-      assert(row < sc.row_lo.size());
-      assert(j >= sc.row_lo[row] && j <= sc.row_hi[row]);
-      return sc.dirs[sc.row_offset[row] +
-                     static_cast<std::size_t>(j - sc.row_lo[row])];
-    };
-    std::string ops;
-    int i = best_i, j = best_j;
-    enum class State { H, E, F } state = State::H;
-    while (i > 0 || j > 0) {
-      const std::uint8_t d = dir_at(i, j);
-      switch (state) {
-        case State::H:
-          switch (d & 0x3) {
-            case kDiag:
-              ops.push_back('M');
-              --i;
-              --j;
-              break;
-            case kFromE:
-              state = State::E;
-              break;
-            case kFromF:
-              state = State::F;
-              break;
-            default:
-              assert(false && "traceback hit a start cell prematurely");
-              i = 0;
-              j = 0;
-              break;
-          }
-          break;
-        case State::E:
-          ops.push_back('I');
-          state = (d & kESrcExtend) ? State::E : State::H;
-          --j;
-          break;
-        case State::F:
-          ops.push_back('D');
-          state = (d & kFSrcExtend) ? State::F : State::H;
-          --i;
-          break;
-      }
-    }
-    // Emitted far-end-first; callers want seed-outward order reversed into
-    // sequence order, which they assemble themselves. Keep far-first here.
-    result.ops = std::move(ops);
-  }
-  return result;
+  record.best_row = best_i;
+  record.best_col = best_j;
+  return Half{best, cells};
 }
 
-}  // namespace
+GappedScore GappedAligner::extend(std::span<const std::uint8_t> subject,
+                                  std::uint32_t qseed, std::uint32_t sseed) {
+  const auto qlen = static_cast<std::uint32_t>(pssm_.query_length());
+  const auto slen = static_cast<std::uint32_t>(subject.size());
+  assert(qseed < qlen && sseed < slen);
+
+  const std::uint8_t* seed_residue = subject.data() + sseed;
+  const Half right =
+      extend_half<+1>(right_, seed_residue, qseed,
+                      static_cast<int>(qlen - 1 - qseed),
+                      static_cast<int>(slen - 1 - sseed));
+  const Half left = extend_half<-1>(left_, seed_residue, qseed,
+                                    static_cast<int>(qseed),
+                                    static_cast<int>(sseed));
+
+  GappedScore& out = last_;
+  out.score = pssm_.score(qseed, subject[sseed]) + left.score + right.score;
+  out.q_start = qseed - static_cast<std::uint32_t>(left_.best_row);
+  out.s_start = sseed - static_cast<std::uint32_t>(left_.best_col);
+  out.q_end = qseed + static_cast<std::uint32_t>(right_.best_row);
+  out.s_end = sseed + static_cast<std::uint32_t>(right_.best_col);
+  out.cells = left.cells + right.cells;
+  return out;
+}
+
+/// Appends the half's transcript from its best cell back to the seed, far
+/// end first.
+void GappedAligner::walk_back(const Record& record, std::string& ops) {
+  int i = record.best_row, j = record.best_col;
+  enum class State { H, E, F } state = State::H;
+  while (i > 0 || j > 0) {
+    const Row& row = record.rows[static_cast<std::size_t>(i)];
+    assert(j >= row.first_col);
+    const std::uint8_t d =
+        record.dirs[row.offset + static_cast<std::size_t>(j - row.first_col)];
+    switch (state) {
+      case State::H:
+        if (!(d & kNotDiag)) {
+          ops.push_back('M');
+          --i;
+          --j;
+        } else {
+          state = (d & kNotE) ? State::F : State::E;
+        }
+        break;
+      case State::E:
+        ops.push_back('I');
+        state = (d & kESrcExtend) ? State::E : State::H;
+        --j;
+        break;
+      case State::F:
+        ops.push_back('D');
+        state = (d & kFSrcExtend) ? State::F : State::H;
+        --i;
+        break;
+    }
+  }
+}
+
+Alignment GappedAligner::traceback(std::uint32_t seq_index) const {
+  Alignment alignment;
+  alignment.seq = seq_index;
+  alignment.score = last_.score;
+  alignment.q_start = last_.q_start;
+  alignment.s_start = last_.s_start;
+  alignment.q_end = last_.q_end;
+  alignment.s_end = last_.s_end;
+  alignment.ops.reserve(last_.q_end - last_.q_start + last_.s_end -
+                        last_.s_start + 1);
+  // The left half's far end is its sequence-order first residue, so its
+  // far-end-first walk is already in order; the right half's is reversed.
+  walk_back(left_, alignment.ops);
+  alignment.ops.push_back('M');
+  const std::size_t right_begin = alignment.ops.size();
+  walk_back(right_, alignment.ops);
+  std::reverse(alignment.ops.begin() + static_cast<std::ptrdiff_t>(right_begin),
+               alignment.ops.end());
+  return alignment;
+}
 
 GappedScore gapped_score(const bio::Pssm& pssm,
                          std::span<const std::uint8_t> subject,
                          std::uint32_t qseed, std::uint32_t sseed,
                          const SearchParams& params) {
-  const auto qlen = static_cast<std::uint32_t>(pssm.query_length());
-  const auto slen = static_cast<std::uint32_t>(subject.size());
-  assert(qseed < qlen && sseed < slen);
-
-  const int seed_score = pssm.score(qseed, subject[sseed]);
-
-  const HalfResult right = extend_half(
-      [&](int i, int j) {
-        return pssm.score(qseed + static_cast<std::uint32_t>(i),
-                          subject[sseed + static_cast<std::uint32_t>(j)]);
-      },
-      qlen - 1 - qseed, slen - 1 - sseed, params, /*want_traceback=*/false);
-
-  const HalfResult left = extend_half(
-      [&](int i, int j) {
-        return pssm.score(qseed - static_cast<std::uint32_t>(i),
-                          subject[sseed - static_cast<std::uint32_t>(j)]);
-      },
-      qseed, sseed, params, /*want_traceback=*/false);
-
-  GappedScore out;
-  out.score = seed_score + left.score + right.score;
-  out.q_start = qseed - left.q_reach;
-  out.s_start = sseed - left.s_reach;
-  out.q_end = qseed + right.q_reach;
-  out.s_end = sseed + right.s_reach;
-  return out;
+  return GappedAligner(pssm, params).extend(subject, qseed, sseed);
 }
 
 Alignment gapped_traceback(const bio::Pssm& pssm,
                            std::span<const std::uint8_t> subject,
                            std::uint32_t seq_index, std::uint32_t qseed,
                            std::uint32_t sseed, const SearchParams& params) {
-  const auto qlen = static_cast<std::uint32_t>(pssm.query_length());
-  const auto slen = static_cast<std::uint32_t>(subject.size());
-  assert(qseed < qlen && sseed < slen);
-
-  const int seed_score = pssm.score(qseed, subject[sseed]);
-
-  const HalfResult right = extend_half(
-      [&](int i, int j) {
-        return pssm.score(qseed + static_cast<std::uint32_t>(i),
-                          subject[sseed + static_cast<std::uint32_t>(j)]);
-      },
-      qlen - 1 - qseed, slen - 1 - sseed, params, /*want_traceback=*/true);
-  // right.ops is emitted far-end first: reversing yields seed->right order.
-  std::string right_ops(right.ops.rbegin(), right.ops.rend());
-
-  const HalfResult left = extend_half(
-      [&](int i, int j) {
-        return pssm.score(qseed - static_cast<std::uint32_t>(i),
-                          subject[sseed - static_cast<std::uint32_t>(j)]);
-      },
-      qseed, sseed, params, /*want_traceback=*/true);
-  // left.ops is emitted far-end first, and for the left half "far end" is
-  // the leftmost (sequence-order first) residue — already in order.
-  const std::string& left_ops = left.ops;
-
-  Alignment alignment;
-  alignment.seq = seq_index;
-  alignment.score = seed_score + left.score + right.score;
-  alignment.q_start = qseed - left.q_reach;
-  alignment.s_start = sseed - left.s_reach;
-  alignment.q_end = qseed + right.q_reach;
-  alignment.s_end = sseed + right.s_reach;
-  alignment.ops.reserve(left_ops.size() + 1 + right_ops.size());
-  alignment.ops += left_ops;
-  alignment.ops.push_back('M');
-  alignment.ops += right_ops;
-  return alignment;
+  GappedAligner aligner(pssm, params);
+  aligner.extend(subject, qseed, sseed);
+  return aligner.traceback(seq_index);
 }
 
 }  // namespace repro::blast

@@ -101,20 +101,20 @@ GappedStageOutput process_gapped_stage(
   const int traceback_cutoff =
       evalue.min_significant_score(params.max_evalue);
 
+  GappedAligner aligner(pssm, params);
   for (const Seed& seed : seeds) {
     const auto subject = db.residues(seed.seq);
     util::Timer gapped_timer;
-    const GappedScore gs =
-        gapped_score(pssm, subject, seed.q_seed, seed.s_seed, params);
+    const GappedScore gs = aligner.extend(subject, seed.q_seed, seed.s_seed);
     const double gapped_cost = gapped_timer.seconds();
     out.gapped_seconds += gapped_cost;
     out.gapped_task_costs.push_back(gapped_cost);
     ++out.gapped_extensions;
+    out.dp_cells += gs.cells;
     if (gs.score < traceback_cutoff) continue;
 
     util::Timer traceback_timer;
-    Alignment alignment = gapped_traceback(pssm, subject, seed.seq,
-                                           seed.q_seed, seed.s_seed, params);
+    Alignment alignment = aligner.traceback(seed.seq);
     const double tb_cost = traceback_timer.seconds();
     out.traceback_seconds += tb_cost;
     out.traceback_task_costs.push_back(tb_cost);

@@ -22,6 +22,7 @@ struct GappedStageOutput {
   std::vector<Alignment> alignments;  ///< unranked, evalue not yet attached
   std::uint64_t gapped_extensions = 0;
   std::uint64_t tracebacks = 0;
+  std::uint64_t dp_cells = 0;  ///< sum of GappedScore::cells over the seeds
   double gapped_seconds = 0.0;
   double traceback_seconds = 0.0;
   /// Per-seed costs (seconds), for the makespan scheduling model.
@@ -29,10 +30,10 @@ struct GappedStageOutput {
   std::vector<double> traceback_task_costs;
 };
 
-/// Runs gapped extension (score pass) and alignment-with-traceback for
-/// every qualifying seed. Seeds whose gapped score fails the e-value cutoff
-/// are dropped before traceback, as in BLAST. Deterministic regardless of
-/// the input order of `extensions`.
+/// Runs one recorded gapped extension per distinct seed and walks the
+/// record back into an alignment for every seed whose score clears the
+/// e-value cutoff; the others are dropped before traceback, as in BLAST.
+/// Deterministic regardless of the input order of `extensions`.
 [[nodiscard]] GappedStageOutput process_gapped_stage(
     const bio::Pssm& pssm, const bio::SequenceDatabase& db,
     std::span<const UngappedExtension> extensions, const SearchParams& params,

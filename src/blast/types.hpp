@@ -108,6 +108,7 @@ struct SearchCounters {
   std::uint64_t ungapped_extensions = 0;
   std::uint64_t gapped_extensions = 0;
   std::uint64_t tracebacks = 0;
+  std::uint64_t dp_cells = 0;  ///< gapped-DP recurrence evaluations
 
   [[nodiscard]] double filter_survival_ratio() const {
     return hits_detected

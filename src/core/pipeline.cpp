@@ -510,6 +510,7 @@ BlockCpuResult run_block_cpu_stage(
       stage.traceback_task_costs, config.cpu_threads);
   result.gapped_extensions = stage.gapped_extensions;
   result.tracebacks = stage.tracebacks;
+  result.dp_cells = stage.dp_cells;
   result.alignments = std::move(stage.alignments);
   if (util::trace_enabled()) {
     // Keep the greedy placements so the modeled timeline can draw the

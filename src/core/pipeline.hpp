@@ -176,6 +176,7 @@ struct BlockCpuResult {
   double traceback_makespan_seconds = 0.0;
   std::uint64_t gapped_extensions = 0;
   std::uint64_t tracebacks = 0;
+  std::uint64_t dp_cells = 0;
   std::vector<util::ScheduledTask> gapped_schedule;
   std::vector<util::ScheduledTask> traceback_schedule;
 };

@@ -101,6 +101,7 @@ std::string SearchReport::to_json() const {
   append_kv(out, "ungapped_extensions", result.counters.ungapped_extensions);
   append_kv(out, "gapped_extensions", result.counters.gapped_extensions);
   append_kv(out, "tracebacks", result.counters.tracebacks);
+  append_kv(out, "dp_cells", result.counters.dp_cells);
   append_kv(out, "filter_survival_ratio",
             result.counters.filter_survival_ratio(), false);
   out += "},";
@@ -341,6 +342,8 @@ std::string SearchReport::to_table() const {
                     std::to_string(result.counters.gapped_extensions)});
   counters.add_row({"tracebacks",
                     std::to_string(result.counters.tracebacks)});
+  counters.add_row({"gapped DP cells",
+                    std::to_string(result.counters.dp_cells)});
   counters.add_row({"alignments",
                     std::to_string(result.alignments.size())});
   counters.add_row({"filter survival",

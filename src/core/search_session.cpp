@@ -115,6 +115,7 @@ void SearchSession::run_cpu_phases(QueryRun& run) {
     run.cpu.traceback_s += stage.traceback_makespan_seconds;
     run.cpu.gapped_extensions += stage.gapped_extensions;
     run.cpu.tracebacks += stage.tracebacks;
+    run.cpu.dp_cells += stage.dp_cells;
 
     ModeledBlock modeled;
     modeled.query_index = run.query_index;

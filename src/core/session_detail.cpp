@@ -51,6 +51,7 @@ void finish_search_report(QueryRun& run, const Config& config,
   report.traceback_seconds = run.cpu.traceback_s;
   report.result.counters.gapped_extensions = run.cpu.gapped_extensions;
   report.result.counters.tracebacks = run.cpu.tracebacks;
+  report.result.counters.dp_cells = run.cpu.dp_cells;
   report.other_seconds = run.prep_s + run.cpu.finalize_s;
 
   report.profile = std::move(run.profile_delta);

@@ -99,6 +99,7 @@ struct QueryRun {
     double finalize_s = 0.0;
     std::uint64_t gapped_extensions = 0;
     std::uint64_t tracebacks = 0;
+    std::uint64_t dp_cells = 0;
     std::vector<blast::Alignment> alignments;
     std::vector<ModeledBlock> modeled;
   } cpu;

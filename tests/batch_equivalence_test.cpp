@@ -94,6 +94,8 @@ void expect_reports_equal(const core::SearchReport& sequential,
             batched.result.counters.gapped_extensions);
   EXPECT_EQ(sequential.result.counters.tracebacks,
             batched.result.counters.tracebacks);
+  EXPECT_EQ(sequential.result.counters.dp_cells,
+            batched.result.counters.dp_cells);
   EXPECT_EQ(sequential.bin_overflow_retries, batched.bin_overflow_retries);
   EXPECT_EQ(sequential.degraded_blocks, batched.degraded_blocks);
   EXPECT_EQ(sequential.cache_off_retries, batched.cache_off_retries);

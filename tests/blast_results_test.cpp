@@ -1,9 +1,12 @@
 // Tests for the result-processing layer: extension de-duplication, the
-// gapped stage's determinism and partition invariance (a regression test
-// for an order-dependent tie-break bug), ranking, and formatting.
+// gapped stage's agreement with the two-pass reference stage, its
+// determinism and partition invariance (a regression test for an
+// order-dependent tie-break bug), ranking, and formatting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <thread>
 
 #include "bio/generator.hpp"
 #include "bio/karlin.hpp"
@@ -11,6 +14,7 @@
 #include "blast/results.hpp"
 #include "blast/ungapped.hpp"
 #include "blast/wordlookup.hpp"
+#include "gapped_reference.hpp"
 #include "util/rng.hpp"
 
 namespace repro {
@@ -148,6 +152,79 @@ TEST(GappedStage, SharedSeedsComputedOnce) {
                                                  fx.params, evalue);
   EXPECT_EQ(once.gapped_extensions, twice.gapped_extensions);
   EXPECT_EQ(once.alignments, twice.alignments);
+}
+
+TEST(GappedStage, MatchesReferenceStage) {
+  // The paper's three query lengths, each against a database in which a
+  // fifth of the subjects hold a mutated fragment of it.
+  struct Case {
+    std::vector<std::uint8_t> query;
+    bio::SequenceDatabase db;
+    std::vector<UngappedExtension> extensions;
+  };
+  blast::SearchParams params;
+  std::vector<Case> cases;
+  for (const std::size_t length : {127u, 517u, 1054u}) {
+    Case c;
+    c.query = bio::make_benchmark_query(length).residues;
+    auto profile = bio::DatabaseProfile::swissprot_like(60);
+    profile.homolog_fraction = 0.2;
+    c.db = bio::DatabaseGenerator(profile, 1000 + length).generate(c.query);
+    const blast::WordLookup lookup(c.query, bio::Blosum62::instance(),
+                                   params);
+    const bio::Pssm pssm(c.query, bio::Blosum62::instance());
+    blast::TwoHitTracker tracker(c.query.size() + c.db.max_length() + 2);
+    for (std::size_t i = 0; i < c.db.size(); ++i)
+      blast::run_ungapped_phase(lookup, pssm, c.db.residues(i),
+                                static_cast<std::uint32_t>(i), params,
+                                tracker, c.extensions);
+    cases.push_back(std::move(c));
+  }
+  auto run_stage = [&](const Case& c) {
+    const bio::Pssm pssm(c.query, bio::Blosum62::instance());
+    const bio::EvalueCalculator evalue(bio::blosum62_gapped_11_1(),
+                                       c.query.size(), c.db.total_residues(),
+                                       c.db.size());
+    return blast::process_gapped_stage(pssm, c.db, c.extensions, params,
+                                       evalue);
+  };
+
+  std::vector<blast::GappedStageOutput> serial;
+  for (const Case& c : cases) {
+    SCOPED_TRACE("query length " + std::to_string(c.query.size()));
+    const bio::Pssm pssm(c.query, bio::Blosum62::instance());
+    const bio::EvalueCalculator evalue(bio::blosum62_gapped_11_1(),
+                                       c.query.size(), c.db.total_residues(),
+                                       c.db.size());
+    const auto want = testref::gapped_stage(pssm, c.db, c.extensions, params,
+                                            evalue);
+    auto got = run_stage(c);
+    EXPECT_EQ(got.alignments, want.alignments);
+    EXPECT_EQ(got.gapped_extensions, want.gapped_extensions);
+    EXPECT_EQ(got.tracebacks, want.tracebacks);
+    EXPECT_GT(want.tracebacks, 0u);
+    EXPECT_GT(got.dp_cells, got.gapped_extensions);
+    EXPECT_EQ(got.gapped_task_costs.size(), got.gapped_extensions);
+    EXPECT_EQ(got.traceback_task_costs.size(), got.tracebacks);
+    serial.push_back(std::move(got));
+  }
+
+  // Four stages at once, two of them on the same query: each stage owns
+  // its scratch, so concurrent stages match the serial ones exactly.
+  std::array<blast::GappedStageOutput, 4> concurrent;
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < concurrent.size(); ++t)
+    threads.emplace_back([&, t] {
+      concurrent[t] = run_stage(cases[t % cases.size()]);
+    });
+  for (auto& thread : threads) thread.join();
+  for (std::size_t t = 0; t < concurrent.size(); ++t) {
+    const auto& want = serial[t % cases.size()];
+    EXPECT_EQ(concurrent[t].alignments, want.alignments) << "thread " << t;
+    EXPECT_EQ(concurrent[t].gapped_extensions, want.gapped_extensions);
+    EXPECT_EQ(concurrent[t].tracebacks, want.tracebacks);
+    EXPECT_EQ(concurrent[t].dp_cells, want.dp_cells);
+  }
 }
 
 TEST(FinalizeResults, FiltersAndRanks) {

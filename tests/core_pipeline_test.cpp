@@ -175,6 +175,7 @@ void expect_reports_bit_identical(const core::SearchReport& a,
   EXPECT_EQ(a.result.counters.gapped_extensions,
             b.result.counters.gapped_extensions);
   EXPECT_EQ(a.result.counters.tracebacks, b.result.counters.tracebacks);
+  EXPECT_EQ(a.result.counters.dp_cells, b.result.counters.dp_cells);
   EXPECT_EQ(a.bin_overflow_retries, b.bin_overflow_retries);
   // Per-kernel profile (Fig. 19 inputs).
   const auto& ka = a.profile.kernels();
@@ -266,6 +267,8 @@ TEST(CuBlastp, CountersMatchFsaBaseline) {
   EXPECT_EQ(reference.counters.gapped_extensions,
             report.result.counters.gapped_extensions);
   EXPECT_EQ(reference.counters.tracebacks, report.result.counters.tracebacks);
+  EXPECT_EQ(reference.counters.dp_cells, report.result.counters.dp_cells);
+  EXPECT_GT(report.result.counters.dp_cells, 0u);
 }
 
 TEST(CuBlastp, FilterSurvivalRatioInPaperRange) {

@@ -110,6 +110,8 @@ void expect_reports_equal(const core::SearchReport& single,
             sharded.result.counters.gapped_extensions);
   EXPECT_EQ(single.result.counters.tracebacks,
             sharded.result.counters.tracebacks);
+  EXPECT_EQ(single.result.counters.dp_cells,
+            sharded.result.counters.dp_cells);
   EXPECT_EQ(single.status, sharded.status);
 
   EXPECT_EQ(single.bin_overflow_retries, sharded.bin_overflow_retries);
