@@ -46,9 +46,12 @@ inline constexpr std::int32_t kDiagonalBias = 32768;
       static_cast<std::int32_t>(hit_spos(packed)) - hit_diagonal(packed));
 }
 
-/// Per-launch bin storage: num_warps x num_bins bins of fixed capacity in
-/// one device buffer, plus the per-bin counters the detection kernel's
-/// shared-memory `top[]` is flushed into.
+/// Bin storage: num_warps x num_bins bins of fixed capacity in one device
+/// buffer, plus the per-bin counters the detection kernel's shared-memory
+/// `top[]` is flushed into. A grid is armed for one K1 launch at a time:
+/// constructed, or re-armed by rearm(). An EngineShard keeps one grid for
+/// the whole session, like the device database image, and re-arms it for
+/// every block attempt (paper §3.2's fixed-capacity bins, allocated once).
 struct BinGrid {
   int num_warps = 0;
   int num_bins = 0;
@@ -62,16 +65,21 @@ struct BinGrid {
       : num_warps(warps),
         num_bins(bins),
         capacity(cap),
-        slots(static_cast<std::size_t>(warps) * static_cast<std::size_t>(bins) *
-              cap),
+        // DeviceVector(n) value-initializes, so construction zero-fills
+        // every slot; rearm() skips that fill.
+        slots(slot_count(warps, bins, cap)),
         // counts/overflow are zero-filled (the cudaMemset a real grid setup
         // performs): the kernels atomically bump them with no prior store.
-        // slots needs no memset — only claimed slots are ever read back.
         counts(static_cast<std::size_t>(warps) *
                    static_cast<std::size_t>(bins),
                0),
         overflow(1, 0) {}
 
+  [[nodiscard]] static std::size_t slot_count(int warps, int bins,
+                                              std::uint32_t cap) {
+    return static_cast<std::size_t>(warps) * static_cast<std::size_t>(bins) *
+           cap;
+  }
   [[nodiscard]] std::size_t total_bins() const {
     return static_cast<std::size_t>(num_warps) *
            static_cast<std::size_t>(num_bins);
@@ -81,9 +89,21 @@ struct BinGrid {
     return bin * capacity + i;
   }
   [[nodiscard]] bool overflowed() const { return overflow[0] != 0; }
-  void clear() {
+
+  /// True when the grid has room for `cap` slots in each of its bins.
+  [[nodiscard]] bool fits(std::uint32_t cap) const {
+    return slot_count(num_warps, num_bins, cap) <= slots.size();
+  }
+  /// Arms the grid for another K1 launch of `cap` slots per bin (requires
+  /// fits(cap)): sets the capacity and clears the counters. Slots are not
+  /// re-zeroed, since only claimed slots are read back; initcheck marks
+  /// them undefined again, so reading an unclaimed one is still reported.
+  void rearm(std::uint32_t cap) {
+    capacity = cap;
     counts.assign(counts.size(), 0);
     overflow[0] = 0;
+    simt::mark_device_uninitialized(slots.data(),
+                                    slots.size() * sizeof(std::uint64_t));
   }
 };
 

@@ -47,7 +47,6 @@ DetectionResult launch_hit_detection(simt::Engine& engine,
         "hit detection: num_bins_per_warp must be a power of two <= 32768");
   if (config.params.word_length != kWordLength)
     throw std::invalid_argument("hit detection kernel requires W == 3");
-  bins.clear();
 
   const simt::MemKind position_kind = config.use_readonly_cache
                                           ? simt::MemKind::kReadOnly

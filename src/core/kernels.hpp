@@ -41,6 +41,8 @@ struct SurvivorView {
 
 /// K1: warp-per-sequence, lane-per-word hit detection writing packed hits
 /// into the warp's bins (shared-memory top[] counters, paper Algorithm 2).
+/// `bins` must be armed: freshly constructed, or re-armed by
+/// BinGrid::rearm since its last launch.
 DetectionResult launch_hit_detection(simt::Engine& engine,
                                      const Config& config,
                                      const QueryDevice& query,

@@ -191,23 +191,48 @@ const BlockDevice& BlockResidency::ensure(simt::Engine& engine,
 // Stage 3: per-block GPU attempt and the degradation ladder.
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Arms the session's grid for one K1 launch of `capacity` slots per bin.
+BinGrid& arm_bin_grid(std::optional<BinGrid>& grid, int warps, int bins,
+                      std::uint32_t capacity) {
+  if (grid.has_value() && grid->num_warps == warps &&
+      grid->num_bins == bins && grid->fits(capacity)) {
+    grid->rearm(capacity);
+    return *grid;
+  }
+  // First use, or more slots than the grid has: free the old storage
+  // before allocating the new, so the two are never live together. A
+  // failed allocation leaves the holder empty, never half-built.
+  grid.reset();
+  // Session-resident like the database image: leakcheck's per-query scan
+  // skips it, and it dies with its shard.
+  simt::DeviceAllocSite site("core.bin_grid");
+  simt::DeviceResidentScope resident;
+  return grid.emplace(warps, bins, capacity);
+}
+
+}  // namespace
+
 BlockOutcome run_block_on_gpu(simt::Engine& engine, const Config& config,
                               const QueryDevice& query,
                               const BlockDevice& device_block,
+                              std::optional<BinGrid>& bin_grid,
                               std::uint32_t& bin_capacity,
                               std::uint64_t& overflow_retries,
                               SurvivorView survivors) {
   BlockOutcome out;
-  // Every scratch allocation of the fine K1-K5 chain reports under one
-  // leakcheck site — they must all die with this query.
+  // Every scratch allocation of the fine K2-K5 chain reports under one
+  // leakcheck site — they must all die with this query. The bin grid is
+  // the exception: it is session-resident (arm_bin_grid).
   simt::DeviceAllocSite site("core.fine_pipeline");
 
   // K1 with overflow-driven capacity growth: a real implementation must
   // re-run when its fixed-size bins overflow (paper §3.2) — but only a
   // bounded number of times, and only up to a bounded capacity.
   for (int retry = 0;; ++retry) {
-    BinGrid bins(config.detection_warps(), config.num_bins_per_warp,
-                 bin_capacity);
+    BinGrid& bins = arm_bin_grid(bin_grid, config.detection_warps(),
+                                 config.num_bins_per_warp, bin_capacity);
     const DetectionResult detection = launch_hit_detection(
         engine, config, query, device_block, bins, survivors);
     if (!detection.overflowed) {
@@ -327,6 +352,7 @@ BlockLadderResult run_block_ladder(simt::Engine& engine, const Config& config,
                                    const QueryContext& ctx,
                                    const bio::SequenceDatabase& db,
                                    BlockResidency& residency, std::size_t bi,
+                                   std::optional<BinGrid>& bin_grid,
                                    std::uint32_t& bin_capacity,
                                    std::uint64_t& overflow_retries,
                                    const PrefilterDevice* prefilter,
@@ -407,13 +433,13 @@ BlockLadderResult run_block_ladder(simt::Engine& engine, const Config& config,
           const SurvivorView view{filter->survivors.data(),
                                   filter->num_survivors};
           outcome = run_block_on_gpu(engine, attempt_config, ctx.device,
-                                     device_block, bin_capacity,
+                                     device_block, bin_grid, bin_capacity,
                                      overflow_retries, view);
           result.backend = BlockBackend::kFineFiltered;
         }
       } else {
         outcome = run_block_on_gpu(engine, attempt_config, ctx.device,
-                                   device_block, bin_capacity,
+                                   device_block, bin_grid, bin_capacity,
                                    overflow_retries);
         result.backend = BlockBackend::kFine;
       }

@@ -26,6 +26,7 @@
 #include "bio/database.hpp"
 #include "blast/results.hpp"
 #include "blast/types.hpp"
+#include "core/bins.hpp"
 #include "core/cancellation.hpp"
 #include "core/config.hpp"
 #include "core/device_data.hpp"
@@ -93,14 +94,19 @@ struct BlockOutcome {
 };
 
 /// One GPU attempt at a block: K1 with bounded capacity growth, then K2-K5
-/// and the D2H copy, against an already-resident device block. Throws
-/// simt::DeviceError / std::bad_alloc / util::FaultInjectedError on device
-/// failures, and SearchError with kBinOverflowExhausted when capacity
-/// growth hits its retry or size caps.
+/// and the D2H copy, against an already-resident device block. K1 bins
+/// into `bin_grid`, which the caller keeps across attempts: the grid is
+/// re-armed when it has room for `bin_capacity`, else (first use, or an
+/// overflow grew the capacity past it) freed and allocated anew,
+/// session-resident. A failed grid allocation leaves `bin_grid` empty.
+/// Throws simt::DeviceError / std::bad_alloc / util::FaultInjectedError on
+/// device failures, and SearchError with kBinOverflowExhausted when
+/// capacity growth hits its retry or size caps.
 [[nodiscard]] BlockOutcome run_block_on_gpu(simt::Engine& engine,
                                             const Config& config,
                                             const QueryDevice& query,
                                             const BlockDevice& block,
+                                            std::optional<BinGrid>& bin_grid,
                                             std::uint32_t& bin_capacity,
                                             std::uint64_t& overflow_retries,
                                             SurvivorView survivors = {});
@@ -149,6 +155,7 @@ struct BlockLadderResult {
 /// more unfiltered GPU attempt with the read-only cache disabled, rung 3
 /// the CPU fallback. A filter failure degrades to the unfiltered fine path
 /// inside rung 1 — the filter can only be skipped, never drop results.
+/// Both GPU rungs bin into the grid of `bin_grid` (run_block_on_gpu).
 /// Every rung produces the same extension set. Restores the engine's cache
 /// setting to `config.use_readonly_cache` before returning (also when the
 /// ladder unwinds). Throws SearchError{kDegradationExhausted} when all
@@ -162,7 +169,8 @@ struct BlockLadderResult {
 [[nodiscard]] BlockLadderResult run_block_ladder(
     simt::Engine& engine, const Config& config, const QueryContext& ctx,
     const bio::SequenceDatabase& db, BlockResidency& residency,
-    std::size_t bi, std::uint32_t& bin_capacity,
+    std::size_t bi, std::optional<BinGrid>& bin_grid,
+    std::uint32_t& bin_capacity,
     std::uint64_t& overflow_retries,
     const PrefilterDevice* prefilter = nullptr, int prefilter_threshold = 0,
     const CancellationToken& cancel = {});

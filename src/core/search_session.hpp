@@ -147,6 +147,7 @@ class SearchSession {
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] const bio::SequenceDatabase& db() const { return *db_; }
   [[nodiscard]] const simt::Engine& engine() const { return shard_.engine(); }
+  [[nodiscard]] const EngineShard& shard() const { return shard_; }
 
   /// h2d_block bytes uploaded so far; after any fault-free search this
   /// equals db_device_bytes() and never grows again.

@@ -133,7 +133,7 @@ ShardGpuResult EngineShard::run_gpu_blocks(const QueryContext& ctx,
     const double gpu_ms_before = engine_.profile().total_time_ms();
 
     BlockLadderResult ladder = run_block_ladder(
-        engine_, *config_, ctx, *db_, residency_, bi, bin_capacity,
+        engine_, *config_, ctx, *db_, residency_, bi, bin_grid_, bin_capacity,
         out.bin_overflow_retries,
         prefilter.has_value() ? &*prefilter : nullptr, prefilter_threshold,
         cancel);

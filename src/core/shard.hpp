@@ -2,19 +2,21 @@
 //
 // A shard owns exactly the per-device state the single-engine SearchSession
 // used to hold inline — a simt::Engine, the device residency of its
-// contiguous database-block slice, and the per-query pre-filter device
-// table — and runs the GPU half of a query over its blocks: the h2d_query
-// upload, the per-query filter table, and every owned block through the
-// degradation ladder. It holds no query-global state: cutoffs and
-// thresholds come from the QueryContext the caller built over the
-// *aggregate* search space (bio::SearchSpace), which is what makes K
-// shards' merged results bit-identical to one engine's.
+// contiguous database-block slice, the bin grid every block attempt
+// re-arms, and the per-query pre-filter device table — and runs the GPU
+// half of a query over its blocks: the h2d_query upload, the per-query
+// filter table, and every owned block through the degradation ladder. It
+// holds no query-global state: cutoffs and thresholds come from the
+// QueryContext the caller built over the *aggregate* search space
+// (bio::SearchSpace), which is what makes K shards' merged results
+// bit-identical to one engine's.
 //
 //   SearchSession  = one EngineShard covering every block (the K=1 case)
 //   ShardedSession = K EngineShards + scatter–gather (sharded_session.hpp)
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -109,6 +111,12 @@ class EngineShard {
   /// or not it is resident yet.
   [[nodiscard]] std::uint64_t db_device_bytes() const;
 
+  /// The session-resident bin grid; null until a block attempt allocates
+  /// it (the first search, or after a failed allocation).
+  [[nodiscard]] const BinGrid* bin_grid() const {
+    return bin_grid_.has_value() ? &*bin_grid_ : nullptr;
+  }
+
  private:
   const Config* config_;
   const bio::SequenceDatabase* db_;
@@ -116,6 +124,7 @@ class EngineShard {
   std::size_t first_block_;
   simt::Engine engine_;
   BlockResidency residency_;
+  std::optional<BinGrid> bin_grid_;
 };
 
 }  // namespace repro::core

@@ -65,10 +65,12 @@ std::array<WindowHalf, 2> window_extend(WarpExec& w,
                                         int ws, int xdrop, RightMap&& right,
                                         LeftMap&& left) {
   // A window's bits of a ballot; ws = 32 takes the full mask without a
-  // shift by 32.
+  // shift by 32. ws is a power of two: a lane's offset in its window is
+  // lane & offset_mask.
   const Mask slice = simt::kFullMask >> (simt::kWarpSize - ws);
+  const int offset_mask = ws - 1;
   const auto window_bits = [&](Mask m, int lane) {
-    return (m >> (lane - lane % ws)) & slice;
+    return (m >> (lane & ~offset_mask)) & slice;
   };
 
   std::array<WindowHalf, 2> halves;
@@ -88,7 +90,7 @@ std::array<WindowHalf, 2> window_extend(WarpExec& w,
         w.vec([&](int lane) {
           const std::uint32_t offset =
               round[lane] * static_cast<std::uint32_t>(ws) +
-              static_cast<std::uint32_t>(lane % ws);
+              static_cast<std::uint32_t>(lane & offset_mask);
           valid[lane] = (dir[lane] == kRight
                              ? right(lane, offset, qp[lane], sidx[lane])
                              : left(lane, offset, qp[lane], sidx[lane]))
@@ -113,7 +115,7 @@ std::array<WindowHalf, 2> window_extend(WarpExec& w,
         LaneArray<int> best_up_to{};
         w.vec([&](int lane) {
           prefix[lane] = carry_run[lane] + vals[lane];
-          best_up_to[lane] = lane % ws == 0
+          best_up_to[lane] = (lane & offset_mask) == 0
                                  ? std::max(carry_best[lane], prefix[lane])
                                  : prefix[lane];
         });
@@ -134,7 +136,8 @@ std::array<WindowHalf, 2> window_extend(WarpExec& w,
         LaneArray<int> bounded = best_up_to;
         w.shfl(bounded, limit, ws);
         const Mask reach = w.ballot([&](int lane) {
-          return lane % ws <= limit[lane] && prefix[lane] == bounded[lane] &&
+          return (lane & offset_mask) <= limit[lane] &&
+                 prefix[lane] == bounded[lane] &&
                  bounded[lane] > carry_best[lane];
         });
 
@@ -182,6 +185,7 @@ void run_window_extension_kernel(simt::Engine& engine, const Config& config,
   if (ws < 2 || ws > 32 || (ws & (ws - 1)) != 0)
     throw std::invalid_argument(
         "window extension: window_size must be a power of two in [2, 32]");
+  const int offset_mask = ws - 1;  // a lane's offset in its window
   // One bit per window: its first lane.
   Mask leaders = 0;
   for (int lane = 0; lane < 32; lane += ws) leaders |= Mask{1} << lane;
@@ -218,7 +222,8 @@ void run_window_extension_kernel(simt::Engine& engine, const Config& config,
         if (need == 0) return;
         w.if_then([&](int lane) { return ((need >> lane) & 1u) != 0; }, [&] {
           w.vec([&](int lane) {
-            g[lane] = next + simt::rank_below(need & leaders, lane - lane % ws);
+            g[lane] = next + simt::rank_below(need & leaders,
+                                              lane & ~offset_mask);
           });
           w.if_then([&](int lane) { return g[lane] < slice.end; }, [&] {
             LaneArray<std::uint32_t> g1{};
@@ -254,7 +259,8 @@ void run_window_extension_kernel(simt::Engine& engine, const Config& config,
                        p0 += static_cast<std::uint32_t>(ws)) {
                     w.if_then(
                         [&](int lane) {
-                          return p0 + static_cast<std::uint32_t>(lane % ws) <
+                          return p0 + static_cast<std::uint32_t>(
+                                          lane & offset_mask) <
                                  word;
                         },
                         [&] {
@@ -262,7 +268,8 @@ void run_window_extension_kernel(simt::Engine& engine, const Config& config,
                           LaneArray<std::uint8_t> sres{};
                           w.vec([&](int lane) {
                             const std::uint32_t p =
-                                p0 + static_cast<std::uint32_t>(lane % ws);
+                                p0 + static_cast<std::uint32_t>(
+                                         lane & offset_mask);
                             qp[lane] = h.qpos[lane] + p;
                             sx[lane] = h.seq_off[lane] + h.spos[lane] + p;
                           });
@@ -326,7 +333,9 @@ void run_window_extension_kernel(simt::Engine& engine, const Config& config,
                     ext_reach[lane] =
                         static_cast<std::int32_t>(q_end[lane]) + h.diag[lane];
                     emit[lane] =
-                        (lane % ws == 0 && total[lane] >= cutoff) ? 1 : 0;
+                        ((lane & offset_mask) == 0 && total[lane] >= cutoff)
+                            ? 1
+                            : 0;
                     diag_biased[lane] = static_cast<std::uint32_t>(
                         h.diag[lane] + kDiagonalBias);
                   });

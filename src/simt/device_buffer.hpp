@@ -25,6 +25,7 @@ void unregister_device_allocation(const void* p) noexcept;
 
 // Initcheck definedness (simtcheck.cpp; see simtcheck.hpp for the model).
 void mark_device_initialized(const void* p, std::size_t bytes);
+void mark_device_uninitialized(const void* p, std::size_t bytes);
 
 namespace simtcheck_detail {
 // Sticky initcheck switch, defined in simtcheck.cpp. Declared extern so

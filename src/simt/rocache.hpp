@@ -28,6 +28,10 @@ class ReadOnlyCache {
  private:
   std::size_t line_shift_;
   std::vector<std::uintptr_t> tags_;  ///< 0 = empty
+  /// ceil(2^128 / num_lines()): slot = line % num_lines() by Lemire, Kaser
+  /// and Kurz's direct remainder, exact for every 64-bit line, instead of
+  /// a 64-bit division on every probe.
+  __uint128_t slot_magic_;
 };
 
 }  // namespace repro::simt

@@ -14,7 +14,6 @@
 #include <span>
 #include <stdexcept>
 #include <type_traits>
-#include <vector>
 
 #include "simt/simtcheck.hpp"
 
@@ -22,13 +21,16 @@ namespace repro::simt {
 
 class SharedMemory {
  public:
+  // The arena is not zero-filled up front: alloc() zeroes what it hands
+  // out, and a block rarely uses much of its 48 kB budget.
   explicit SharedMemory(std::size_t capacity_bytes)
-      : storage_(capacity_bytes + alignof(std::max_align_t) - 1),
+      : storage_(std::make_unique_for_overwrite<std::uint8_t[]>(
+            capacity_bytes + alignof(std::max_align_t) - 1)),
         capacity_(capacity_bytes) {
     // Align the arena base to max_align_t so every offset that alloc()
     // rounds to alignof(T) is genuinely T-aligned, whatever T is.
-    void* p = storage_.data();
-    std::size_t space = storage_.size();
+    void* p = storage_.get();
+    std::size_t space = capacity_bytes + alignof(std::max_align_t) - 1;
     base_ = static_cast<std::uint8_t*>(
         std::align(alignof(std::max_align_t), capacity_bytes, p, space));
   }
@@ -102,7 +104,7 @@ class SharedMemory {
     return {base, n};
   }
 
-  std::vector<std::uint8_t> storage_;
+  std::unique_ptr<std::uint8_t[]> storage_;
   std::size_t capacity_;
   std::uint8_t* base_ = nullptr;
   std::size_t used_ = 0;

@@ -161,6 +161,34 @@ class DeviceMemoryRegistry {
       shadow->undefined_count.fetch_sub(newly, std::memory_order_relaxed);
   }
 
+  /// Marks [addr, addr + bytes) undefined again, clipped to the allocation
+  /// containing addr. An allocation without a shadow (made before the
+  /// switch) gets one, defined outside the range; the epoch bump drops
+  /// DefineCache entries that saw it shadowless.
+  void undefine_range(std::uintptr_t addr, std::size_t bytes) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    auto it = ranges_.upper_bound(addr);
+    if (it == ranges_.begin()) return;
+    --it;
+    Allocation& alloc = it->second;
+    if (addr >= alloc.end) return;
+    const std::uintptr_t begin = it->first;
+    if (alloc.shadow == nullptr) {
+      alloc.shadow = std::make_shared<DeviceShadow>();
+      alloc.shadow->defined.assign(alloc.end - begin, 1);
+      epoch_.fetch_add(1, std::memory_order_relaxed);
+    }
+    const std::uintptr_t end =
+        std::min<std::uintptr_t>(addr + bytes, alloc.end);
+    std::uint64_t newly = 0;
+    for (std::uintptr_t a = addr; a < end; ++a) {
+      std::uint8_t& flag = alloc.shadow->defined[a - begin];
+      newly += flag;
+      flag = 0;
+    }
+    alloc.shadow->undefined_count.fetch_add(newly, std::memory_order_relaxed);
+  }
+
   [[nodiscard]] DeviceAllocationStats stats() const {
     DeviceAllocationStats out;
     const std::lock_guard<std::mutex> lock(mu_);
@@ -418,6 +446,12 @@ void mark_device_initialized(const void* p, std::size_t bytes) {
   }
   if (newly != 0)
     cache.shadow->undefined_count.fetch_sub(newly, std::memory_order_relaxed);
+}
+
+void mark_device_uninitialized(const void* p, std::size_t bytes) {
+  if (!device_shadow_enabled() || bytes == 0) return;
+  DeviceMemoryRegistry::instance().undefine_range(
+      reinterpret_cast<std::uintptr_t>(p), bytes);
 }
 
 DeviceAllocSite::DeviceAllocSite(const char* site) : prev_(tls_alloc_site) {

@@ -173,6 +173,14 @@ void set_device_shadow_enabled(bool enabled);
 /// construct hook). No-op while the shadow switch is off.
 void mark_device_initialized(const void* p, std::size_t bytes);
 
+/// The mirror of mark_device_initialized: marks [p, p + bytes) of a live
+/// device allocation undefined again, as if freshly cudaMalloc'd. A buffer
+/// reused across launches (the session's bin grid) calls it when it is
+/// re-armed, so a kernel reading a byte it did not write this time is
+/// still reported. An allocation that predates the shadow switch gets its
+/// shadow here, defined outside the range. No-op while the switch is off.
+void mark_device_uninitialized(const void* p, std::size_t bytes);
+
 // ---------------------------------------------------------------------------
 // Leakcheck: allocation sites, generations, residency.
 

@@ -16,6 +16,7 @@
 #include <bit>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 
@@ -31,11 +32,21 @@ using LaneArray = std::array<T, kWarpSize>;
 using Mask = std::uint32_t;
 inline constexpr Mask kFullMask = 0xffffffffu;
 
+/// Set bits of a lane mask (__popc). The simulator counts lanes on every
+/// warp step, and std::popcount compiles to a libgcc call unless the build
+/// targets POPCNT, so the count is done inline.
+[[nodiscard]] constexpr int lane_count(Mask mask) {
+  mask -= (mask >> 1) & 0x55555555u;
+  mask = (mask & 0x33333333u) + ((mask >> 2) & 0x33333333u);
+  mask = (mask + (mask >> 4)) & 0x0f0f0f0fu;
+  return static_cast<int>((mask * 0x01010101u) >> 24);
+}
+
 /// Set bits of mask below lane: a lane's exclusive rank among the lanes a
 /// ballot selected (the __popc(mask & %lanemask_lt) idiom).
 [[nodiscard]] inline std::uint32_t rank_below(Mask mask, int lane) {
   return static_cast<std::uint32_t>(
-      std::popcount(mask & ((Mask{1} << lane) - 1u)));
+      lane_count(mask & ((Mask{1} << lane) - 1u)));
 }
 
 enum class MemKind { kGlobal, kReadOnly };
@@ -52,6 +63,14 @@ class WarpExec {
         warps_per_block_(warps_per_block),
         grid_blocks_(grid_blocks),
         check_(check) {}
+  // The warp-step counters (vec_ops, active_lane_sum) are kept here and
+  // added to the launch's stats once, when the warp's region ends.
+  ~WarpExec() {
+    stats_->vec_ops += vec_ops_;
+    stats_->active_lane_sum += active_lane_sum_;
+  }
+  WarpExec(const WarpExec&) = delete;
+  WarpExec& operator=(const WarpExec&) = delete;
 
   // --- identity -----------------------------------------------------------
   [[nodiscard]] int block_id() const { return block_id_; }
@@ -69,7 +88,7 @@ class WarpExec {
   }
 
   [[nodiscard]] Mask active_mask() const { return active_; }
-  [[nodiscard]] int active_lanes() const { return std::popcount(active_); }
+  [[nodiscard]] int active_lanes() const { return active_lanes_; }
   [[nodiscard]] bool lane_active(int lane) const {
     return (active_ >> lane) & 1u;
   }
@@ -86,9 +105,11 @@ class WarpExec {
   template <class P>
   [[nodiscard]] Mask ballot(P&& pred) {
     note_op();
+    // Branch-free: votes are data-dependent, so a branch per lane would
+    // mispredict about as often as the predicate flips.
     Mask m = 0;
     for_active([&](int lane) {
-      if (pred(lane)) m |= 1u << lane;
+      m |= static_cast<Mask>(static_cast<bool>(pred(lane))) << lane;
     });
     return m;
   }
@@ -106,9 +127,9 @@ class WarpExec {
     const Mask taken = ballot(std::forward<P>(pred));
     if (taken) {
       const Mask saved = active_;
-      active_ = taken;
+      set_active(taken);
       then_fn();
-      active_ = saved;
+      set_active(saved);
     }
   }
 
@@ -119,15 +140,15 @@ class WarpExec {
     const Mask taken = ballot(std::forward<P>(pred));
     const Mask saved = active_;
     if (taken) {
-      active_ = taken;
+      set_active(taken);
       then_fn();
-      active_ = saved;
+      set_active(saved);
     }
     const Mask not_taken = saved & ~taken;
     if (not_taken) {
-      active_ = not_taken;
+      set_active(not_taken);
       else_fn();
-      active_ = saved;
+      set_active(saved);
     }
   }
 
@@ -140,10 +161,10 @@ class WarpExec {
     for (;;) {
       const Mask live = ballot(cond);
       if (!live) break;
-      active_ = live;
+      set_active(live);
       body();
     }
-    active_ = saved;
+    set_active(saved);
   }
 
   // --- global memory -------------------------------------------------------
@@ -155,14 +176,14 @@ class WarpExec {
     if (check_ != nullptr) check_global(base, idx, AccessKind::kRead);
     note_op();
     ++stats_->ld_requests;
-    begin_segments();
+    stats_->ld_bytes_requested += active_bytes<T>();
+    Sectors sectors;
     for_active([&](int lane) {
       const T* p = base + idx[static_cast<std::size_t>(lane)];
       out[static_cast<std::size_t>(lane)] = *p;
-      stats_->ld_bytes_requested += sizeof(T);
-      add_segment(reinterpret_cast<std::uintptr_t>(p));
+      sectors.add(reinterpret_cast<std::uintptr_t>(p));
     });
-    commit_load_segments(kind);
+    commit_load_sectors(sectors, kind);
   }
 
   /// Scatters vals to base[idx[lane]]. Lane order is the commit order, so
@@ -173,14 +194,14 @@ class WarpExec {
     if (check_ != nullptr) check_global(base, idx, AccessKind::kWrite);
     note_op();
     ++stats_->st_requests;
-    begin_segments();
+    stats_->st_bytes_requested += active_bytes<T>();
+    Sectors sectors;
     for_active([&](int lane) {
       T* p = base + idx[static_cast<std::size_t>(lane)];
       *p = vals[static_cast<std::size_t>(lane)];
-      stats_->st_bytes_requested += sizeof(T);
-      add_segment(reinterpret_cast<std::uintptr_t>(p));
+      sectors.add(reinterpret_cast<std::uintptr_t>(p));
     });
-    stats_->st_transactions += static_cast<std::uint64_t>(num_segments_);
+    stats_->st_transactions += static_cast<std::uint64_t>(sectors.count);
   }
 
   /// Atomic fetch-add on global memory. Colliding addresses within the warp
@@ -196,10 +217,11 @@ class WarpExec {
     if (check_ != nullptr) check_global(base, idx, AccessKind::kAtomic);
     note_op();
     ++stats_->atomic_ops;
-    begin_segments();
+    stats_->st_bytes_requested += active_bytes<T>();
+    Sectors sectors;
     std::uint64_t max_collisions =
-        do_atomic_add<true>(base, idx, vals, old);
-    stats_->st_transactions += static_cast<std::uint64_t>(num_segments_);
+        do_atomic_add<true>(base, idx, vals, old, &sectors);
+    stats_->st_transactions += static_cast<std::uint64_t>(sectors.count);
     if (max_collisions > 1)
       stats_->atomic_serial_passes += max_collisions - 1;
   }
@@ -258,16 +280,22 @@ class WarpExec {
     ++stats_->shared_ops;
     ++stats_->atomic_ops;
     std::uint64_t max_collisions =
-        do_atomic_add<false>(region.data(), idx, vals, old);
+        do_atomic_add<false>(region.data(), idx, vals, old, nullptr);
     if (max_collisions > 1)
       stats_->atomic_serial_passes += max_collisions - 1;
   }
 
   // --- warp collectives ----------------------------------------------------
+  // A windowed collective splits the warp into width-lane windows. As with
+  // the CUDA intrinsics, width must be a power of two in [1, 32], so a
+  // lane's offset in its window is lane & (width - 1) and its window starts
+  // at lane & ~(width - 1).
+
   /// Inclusive plus-scan within fixed-width windows (CUB-style; the paper's
   /// window-based extension uses width 8). Charged log2(width) steps.
   template <class T>
   void window_inclusive_scan(LaneArray<T>& vals, int width) {
+    const int offset_mask = window_mask(width);
     if (check_ != nullptr)
       check_->on_collective(warp_in_block_, active_, width,
                             "window_inclusive_scan");
@@ -275,7 +303,7 @@ class WarpExec {
       note_op();
       LaneArray<T> prev = vals;
       for_active([&](int lane) {
-        if (lane % width >= delta)
+        if ((lane & offset_mask) >= delta)
           vals[static_cast<std::size_t>(lane)] +=
               prev[static_cast<std::size_t>(lane - delta)];
       });
@@ -287,6 +315,7 @@ class WarpExec {
   /// the running best score per position (paper Fig. 8's "highest score").
   template <class T>
   void window_inclusive_max_scan(LaneArray<T>& vals, int width) {
+    const int offset_mask = window_mask(width);
     if (check_ != nullptr)
       check_->on_collective(warp_in_block_, active_, width,
                             "window_inclusive_max_scan");
@@ -294,7 +323,7 @@ class WarpExec {
       note_op();
       LaneArray<T> prev = vals;
       for_active([&](int lane) {
-        if (lane % width >= delta)
+        if ((lane & offset_mask) >= delta)
           vals[static_cast<std::size_t>(lane)] =
               std::max(vals[static_cast<std::size_t>(lane)],
                        prev[static_cast<std::size_t>(lane - delta)]);
@@ -308,6 +337,7 @@ class WarpExec {
   /// value, which on hardware would be undefined.
   template <class T>
   void window_reduce_max(LaneArray<T>& vals, int width) {
+    const int offset_mask = window_mask(width);
     if (check_ != nullptr)
       check_->on_collective(warp_in_block_, active_, width,
                             "window_reduce_max");
@@ -315,7 +345,8 @@ class WarpExec {
       note_op();
       LaneArray<T> prev = vals;
       for_active([&](int lane) {
-        const int peer = (lane % width < width - delta) ? lane + delta : lane;
+        const int peer =
+            (lane & offset_mask) < width - delta ? lane + delta : lane;
         vals[static_cast<std::size_t>(lane)] =
             std::max(vals[static_cast<std::size_t>(lane)],
                      prev[static_cast<std::size_t>(peer)]);
@@ -332,38 +363,40 @@ class WarpExec {
     LaneArray<T> prev = vals;
     for_active([&](int lane) {
       vals[static_cast<std::size_t>(lane)] =
-          prev[static_cast<std::size_t>(lane - lane % width)];
+          prev[static_cast<std::size_t>(lane & ~offset_mask)];
     });
   }
 
   /// Shuffle-up by delta within windows.
   template <class T>
   void shfl_up(LaneArray<T>& vals, int delta, int width = kWarpSize) {
+    const int offset_mask = window_mask(width);
     if (check_ != nullptr)
       check_->on_collective(warp_in_block_, active_, width, "shfl_up");
     note_op();
     LaneArray<T> prev = vals;
     for_active([&](int lane) {
-      if (lane % width >= delta)
+      if ((lane & offset_mask) >= delta)
         vals[static_cast<std::size_t>(lane)] =
             prev[static_cast<std::size_t>(lane - delta)];
     });
   }
 
   /// Indexed shuffle (__shfl_sync): lane i reads lane src[i] of its own
-  /// width-lane window (src taken modulo width, as on hardware). K4 takes
-  /// each survivor's previous survivor from this, and the window extension
-  /// broadcasts a window's total with it.
+  /// width-lane window, src taken modulo width as on hardware (-1 reads the
+  /// window's last lane). K4 takes each survivor's previous survivor from
+  /// this, and the window extension broadcasts a window's total with it.
   template <class T>
   void shfl(LaneArray<T>& vals, const LaneArray<int>& src,
             int width = kWarpSize) {
+    const int offset_mask = window_mask(width);
     if (check_ != nullptr)
       check_->on_collective(warp_in_block_, active_, width, "shfl");
     note_op();
     LaneArray<T> prev = vals;
     for_active([&](int lane) {
-      const int from = lane - lane % width +
-                       src[static_cast<std::size_t>(lane)] % width;
+      const int from = (lane & ~offset_mask) |
+                       (src[static_cast<std::size_t>(lane)] & offset_mask);
       vals[static_cast<std::size_t>(lane)] =
           prev[static_cast<std::size_t>(from)];
     });
@@ -383,13 +416,14 @@ class WarpExec {
   /// are built from this.
   template <class T>
   void shfl_xor(LaneArray<T>& vals, int lane_mask, int width = kWarpSize) {
+    const int offset_mask = window_mask(width);
     if (check_ != nullptr)
       check_->on_collective(warp_in_block_, active_, width, "shfl_xor");
     note_op();
     LaneArray<T> prev = vals;
     for_active([&](int lane) {
       const int src = lane ^ lane_mask;
-      if (src < (lane / width + 1) * width)
+      if (src < (lane & ~offset_mask) + width)
         vals[static_cast<std::size_t>(lane)] =
             prev[static_cast<std::size_t>(src)];
     });
@@ -440,31 +474,66 @@ class WarpExec {
     }
   }
 
+  /// width - 1, the mask of a lane's offset in its window. Throws unless
+  /// width is a power of two in [1, 32].
+  static int window_mask(int width) {
+    if (width < 1 || width > kWarpSize || (width & (width - 1)) != 0)
+      throw std::invalid_argument(
+          "warp collective: width must be a power of two in [1, 32]");
+    return width - 1;
+  }
+
+  /// Bytes an access of one T per active lane requests.
+  template <class T>
+  [[nodiscard]] std::uint64_t active_bytes() const {
+    return sizeof(T) * static_cast<std::uint64_t>(active_lanes());
+  }
+
+  /// Narrows or restores the active mask; every op reads the lane count.
+  void set_active(Mask mask) {
+    active_ = mask;
+    active_lanes_ = lane_count(mask);
+  }
+
   void note_op() {
-    ++stats_->vec_ops;
-    stats_->active_lane_sum += static_cast<std::uint64_t>(active_lanes());
+    ++vec_ops_;
+    active_lane_sum_ += static_cast<std::uint64_t>(active_lanes_);
   }
 
-  void begin_segments() { num_segments_ = 0; }
+  /// The distinct 32-byte sectors one warp access touches (the
+  /// granularity Kepler's L2 serves and the one nvprof's gld_efficiency
+  /// counts, the paper's Fig. 19a metric), in order of first touch: the
+  /// order the read-only cache is probed in. Each memory op keeps its own,
+  /// so the compiler can hold the count and filter in registers.
+  struct Sectors {
+    // Not zero-filled: only list[0, count) is ever read.
+    std::array<std::uintptr_t, kWarpSize> list;
+    int count = 0;
+    std::uint64_t filter = 0;  ///< one hashed bit per listed sector
 
-  void add_segment(std::uintptr_t address) {
-    // 32-byte sectors: the granularity Kepler's L2 serves and the one
-    // nvprof's gld_efficiency counts (the paper's Fig. 19a metric).
-    const std::uintptr_t seg = address >> 5;
-    // Coalesced lane addresses revisit the sector just inserted, so check
-    // it before the linear scan.
-    if (num_segments_ > 0 &&
-        segments_[static_cast<std::size_t>(num_segments_ - 1)] == seg)
-      return;
-    for (int i = 0; i < num_segments_ - 1; ++i)
-      if (segments_[static_cast<std::size_t>(i)] == seg) return;
-    segments_[static_cast<std::size_t>(num_segments_++)] = seg;
-  }
+    void add(std::uintptr_t address) {
+      const std::uintptr_t sector = address >> 5;
+      // Coalesced lanes revisit the sector just listed.
+      if (count > 0 && list[static_cast<std::size_t>(count - 1)] == sector)
+        return;
+      // A clear filter bit proves the sector new; only a set bit pays for
+      // the linear scan.
+      const std::uint64_t bit = std::uint64_t{1}
+                                << ((sector * 0x9e3779b97f4a7c15ull) >> 58);
+      if ((filter & bit) != 0) {
+        for (int i = 0; i < count - 1; ++i)
+          if (list[static_cast<std::size_t>(i)] == sector) return;
+      }
+      filter |= bit;
+      list[static_cast<std::size_t>(count++)] = sector;
+    }
+  };
 
-  void commit_load_segments(MemKind kind) {
-    for (int i = 0; i < num_segments_; ++i) {
+  void commit_load_sectors(const Sectors& sectors, MemKind kind) {
+    for (int i = 0; i < sectors.count; ++i) {
       if (kind == MemKind::kReadOnly && rocache_ != nullptr) {
-        if (rocache_->access(segments_[static_cast<std::size_t>(i)] << 5)) {
+        if (rocache_->access(sectors.list[static_cast<std::size_t>(i)]
+                             << 5)) {
           ++stats_->rocache_hits;
           continue;  // served by the read-only cache: no global transaction
         }
@@ -476,12 +545,13 @@ class WarpExec {
 
   /// kGlobal selects the global-memory flavour: the update is a relaxed
   /// std::atomic_ref fetch-add (cross-block safe under the SM-sharded
-  /// engine) and the touched 32-byte sectors are tracked. Shared memory is
-  /// private to a block — and each block runs on exactly one worker — so
-  /// the plain read-modify-write stays.
+  /// engine) and the touched 32-byte sectors are tracked in `sectors`.
+  /// Shared memory is private to a block — and each block runs on exactly
+  /// one worker — so the plain read-modify-write stays.
   template <bool kGlobal, class T, class I>
   std::uint64_t do_atomic_add(T* base, const LaneArray<I>& idx,
-                              const LaneArray<T>& vals, LaneArray<T>& old) {
+                              const LaneArray<T>& vals, LaneArray<T>& old,
+                              Sectors* sectors) {
     // Commit in lane order; count the worst per-address collision depth.
     std::array<T*, kWarpSize> addrs{};
     int n = 0;
@@ -499,15 +569,14 @@ class WarpExec {
         *p += vals[static_cast<std::size_t>(lane)];
       }
       addrs[static_cast<std::size_t>(n++)] = p;
-      if constexpr (kGlobal) {
-        stats_->st_bytes_requested += sizeof(T);
-        add_segment(reinterpret_cast<std::uintptr_t>(p));
-      }
+      if constexpr (kGlobal) sectors->add(reinterpret_cast<std::uintptr_t>(p));
     });
+    // A lane counts the later lanes on its address; the first lane of each
+    // address counts them all.
     std::uint64_t worst = 0;
     for (int i = 0; i < n; ++i) {
-      std::uint64_t count = 0;
-      for (int j = 0; j < n; ++j)
+      std::uint64_t count = 1;
+      for (int j = i + 1; j < n; ++j)
         if (addrs[static_cast<std::size_t>(j)] ==
             addrs[static_cast<std::size_t>(i)])
           ++count;
@@ -524,9 +593,10 @@ class WarpExec {
   int grid_blocks_;
   BlockChecker* check_;
   Mask active_ = kFullMask;
+  int active_lanes_ = kWarpSize;  ///< lane_count(active_)
+  std::uint64_t vec_ops_ = 0;
+  std::uint64_t active_lane_sum_ = 0;
 
-  std::array<std::uintptr_t, kWarpSize> segments_{};
-  int num_segments_ = 0;
 };
 
 }  // namespace repro::simt

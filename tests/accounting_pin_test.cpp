@@ -1,0 +1,164 @@
+// Pins the simulator's accounting. Two searches over a small generated
+// database (query127 and query517) must produce these exact per-kernel
+// counters: the warp steps, the memory requests and the sectors they touch,
+// shared-memory passes and atomic passes. The values were taken from the
+// simulator before its host-cost work (resident bin grid, mask arithmetic
+// in the window collectives, per-op byte counts), which must change how
+// fast a search simulates and nothing that it measures.
+//
+// Read-only-cache hits and modeled time stay out: the cache is keyed on
+// host addresses, so they move with the heap layout. The sum of
+// ld_transactions and rocache_hits does not: it counts every sector a load
+// touched, hit or miss.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "bio/generator.hpp"
+#include "core/cublastp.hpp"
+#include "simt/device_buffer.hpp"
+
+namespace repro {
+namespace {
+
+struct Counters {
+  std::uint64_t vec_ops = 0;
+  std::uint64_t active_lane_sum = 0;
+  std::uint64_t ld_requests = 0;
+  std::uint64_t ld_bytes_requested = 0;
+  std::uint64_t ld_sectors = 0;  ///< ld_transactions + rocache_hits
+  std::uint64_t st_requests = 0;
+  std::uint64_t st_bytes_requested = 0;
+  std::uint64_t st_transactions = 0;
+  std::uint64_t shared_ops = 0;
+  std::uint64_t shared_conflict_passes = 0;
+  std::uint64_t atomic_ops = 0;
+  std::uint64_t atomic_serial_passes = 0;
+
+  bool operator==(const Counters&) const = default;
+};
+
+void PrintTo(const Counters& c, std::ostream* os) {
+  *os << "{" << c.vec_ops << ", " << c.active_lane_sum << ", "
+      << c.ld_requests << ", " << c.ld_bytes_requested << ", "
+      << c.ld_sectors << ", " << c.st_requests << ", "
+      << c.st_bytes_requested << ", " << c.st_transactions << ", "
+      << c.shared_ops << ", " << c.shared_conflict_passes << ", "
+      << c.atomic_ops << ", " << c.atomic_serial_passes << "}";
+}
+
+void add(Counters& sum, const simt::KernelStats& s) {
+  sum.vec_ops += s.vec_ops;
+  sum.active_lane_sum += s.active_lane_sum;
+  sum.ld_requests += s.ld_requests;
+  sum.ld_bytes_requested += s.ld_bytes_requested;
+  sum.ld_sectors += s.ld_transactions + s.rocache_hits;
+  sum.st_requests += s.st_requests;
+  sum.st_bytes_requested += s.st_bytes_requested;
+  sum.st_transactions += s.st_transactions;
+  sum.shared_ops += s.shared_ops;
+  sum.shared_conflict_passes += s.shared_conflict_passes;
+  sum.atomic_ops += s.atomic_ops;
+  sum.atomic_serial_passes += s.atomic_serial_passes;
+}
+
+struct Measured {
+  std::map<std::string, Counters> kernels;  ///< summed over both searches
+  std::uint64_t bin_overflow_retries = 0;
+};
+
+/// One one-shot search of each query.
+Measured measure() {
+  const auto q127 = bio::make_benchmark_query(127).residues;
+  const auto q517 = bio::make_benchmark_query(517).residues;
+  auto profile = bio::DatabaseProfile::swissprot_like(80);
+  profile.homolog_fraction = 0.1;
+  bio::DatabaseGenerator gen(profile, 2014);
+  const bio::SequenceDatabase db = gen.generate(q517);
+
+  core::Config config;
+  config.db_blocks = 2;
+  config.detection_blocks = 2;  // keep the simulated grid small for tests
+  config.bin_capacity = 64;     // includes bin-overflow retries
+
+  Measured out;
+  for (const auto* query : {&q127, &q517}) {
+    const core::SearchReport report =
+        core::CuBlastp(config).search(*query, db);
+    for (const auto& [name, stats] : report.profile.kernels())
+      if (stats.vec_ops != 0) add(out.kernels[name], stats);
+    out.bin_overflow_retries += report.bin_overflow_retries;
+  }
+  return out;
+}
+
+const std::map<std::string, Counters>& pinned() {
+  static const std::map<std::string, Counters> values = {
+      // {vec_ops, active_lane_sum, ld_requests, ld_bytes_requested,
+      //  ld_sectors, st_requests, st_bytes_requested, st_transactions,
+      //  shared_ops, shared_conflict_passes, atomic_ops,
+      //  atomic_serial_passes}
+      {"bin_scan",
+       {6968, 199800, 520, 66048, 2064, 328, 33296, 1100, 1156, 8228, 0, 0}},
+      {"hit_assemble",
+       {51427, 708854, 7361, 385520, 15108, 7361, 385520, 17622, 0, 0, 0,
+        0}},
+      {"hit_detection",
+       {162797, 2524558, 28773, 1172348, 212401, 11555, 760776, 78636, 15123,
+        8576, 11294, 9235}},
+      {"hit_filter",
+       {147248, 3407072, 12468, 617368, 28319, 18613, 336352, 24838, 1156,
+        8772, 0, 0}},
+      {"hit_sort",
+       {112826, 3293631, 6360, 377512, 16621, 6360, 377512, 16621, 578, 462,
+        0, 0}},
+      {"ungapped_extension",
+       {484547, 10499291, 43137, 2899047, 101649, 396, 1776, 408, 43081,
+        113309, 0, 0}},
+  };
+  return values;
+}
+
+void expect_pinned(const Measured& measured) {
+  // query517's bins overflow at capacity 64, so the pin covers K1's
+  // capacity-growth retries too.
+  EXPECT_EQ(measured.bin_overflow_retries, 2u);
+  for (const auto& [name, counters] : pinned()) {
+    const auto it = measured.kernels.find(name);
+    ASSERT_NE(it, measured.kernels.end()) << "kernel " << name
+                                          << " did not run";
+    EXPECT_EQ(it->second, counters) << "kernel " << name;
+  }
+  for (const auto& [name, counters] : measured.kernels)
+    EXPECT_EQ(pinned().count(name), 1u) << "unpinned kernel " << name;
+}
+
+TEST(AccountingPin, AddressIndependentCountersMatchPinnedValues) {
+  expect_pinned(measure());
+}
+
+TEST(AccountingPin, HeapLayoutDoesNotMoveTheCounters) {
+  // Allocate unrelated host and device buffers of odd sizes and free every
+  // other one, so the search's buffers land at other addresses than in a
+  // search on a fresh heap.
+  std::vector<std::unique_ptr<std::vector<std::uint8_t>>> host;
+  std::vector<std::unique_ptr<simt::DeviceVector<std::uint32_t>>> device;
+  for (std::size_t i = 0; i < 64; ++i) {
+    host.push_back(
+        std::make_unique<std::vector<std::uint8_t>>(97 + 1031 * i, 1));
+    device.push_back(
+        std::make_unique<simt::DeviceVector<std::uint32_t>>(33 + 517 * i, 2u));
+  }
+  for (std::size_t i = 0; i < host.size(); i += 2) {
+    host[i].reset();
+    device[i].reset();
+  }
+  expect_pinned(measure());
+}
+
+}  // namespace
+}  // namespace repro

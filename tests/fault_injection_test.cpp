@@ -11,6 +11,10 @@
 
 #include "bio/generator.hpp"
 #include "core/cublastp.hpp"
+#include "core/pipeline.hpp"
+#include "core/query_context.hpp"
+#include "core/search_session.hpp"
+#include "simt/simtcheck.hpp"
 #include "util/fault.hpp"
 
 namespace repro {
@@ -215,6 +219,69 @@ TEST_F(ChaosEquivalence, AllocationFaultAbsorbedByCacheOffRetry) {
   EXPECT_EQ(faulty.cache_off_retries, 1u);
   EXPECT_EQ(faulty.degraded_blocks, 0u);
   EXPECT_EQ(failed_attempts(faulty), 1u);
+}
+
+TEST_F(ChaosEquivalence, GridAllocationFaultAbsorbedByCacheOffRetry) {
+  const auto w = make_workload(119);
+  const auto config = core::normalized_config(chaos_config());
+  const std::uint64_t base_resident =
+      simt::device_allocation_stats().resident_allocations;
+
+  // Count the device allocations a search makes before its first block
+  // attempt, fault-free: the query's device image and block 0's upload.
+  // The next one is the session's bin grid.
+  std::uint64_t before_grid = 0;
+  {
+    util::FaultScope scope("simt.alloc:nth=0", 1);
+    const core::QueryContext ctx(w.query, w.db, config);
+    core::BlockResidency residency(w.db, w.db.split_blocks(config.db_blocks));
+    simt::Engine engine;
+    (void)residency.ensure(engine, 0);
+    before_grid = util::FaultInjector::instance().hits("simt.alloc");
+  }
+  ASSERT_GT(before_grid, 0u);
+
+  core::SearchReport reference;
+  std::uint64_t reference_allocs = 0;
+  std::uint64_t reference_resident = 0;
+  {
+    util::FaultScope scope("simt.alloc:nth=0", 1);
+    core::SearchSession session(config, w.db);
+    reference = session.search(w.query);
+    reference_allocs = util::FaultInjector::instance().hits("simt.alloc");
+    reference_resident =
+        simt::device_allocation_stats().resident_allocations - base_resident;
+  }
+
+  core::SearchSession session(config, w.db);
+  core::SearchReport faulty;
+  {
+    util::FaultScope scope("simt.alloc:nth=" + std::to_string(before_grid + 1),
+                           1);
+    faulty = session.search(w.query);
+    // One allocation more than fault-free: the one that failed was the
+    // first of block 0's attempt, before any kernel ran.
+    EXPECT_EQ(util::FaultInjector::instance().hits("simt.alloc"),
+              reference_allocs + 1);
+  }
+  EXPECT_EQ(reference.result.alignments, faulty.result.alignments);
+  EXPECT_EQ(faulty.faults_encountered, 1u);
+  EXPECT_EQ(faulty.cache_off_retries, 1u);
+  EXPECT_EQ(faulty.degraded_blocks, 0u);
+  EXPECT_EQ(failed_attempts(faulty), 1u);
+
+  // The cache-off retry allocated the grid itself, and nothing half-built
+  // stayed behind: the session holds what a fault-free one does.
+  const core::BinGrid* grid = session.shard().bin_grid();
+  ASSERT_NE(grid, nullptr);
+  EXPECT_EQ(simt::device_allocation_stats().resident_allocations -
+                base_resident,
+            reference_resident);
+  const std::uint64_t* slots = grid->slots.data();
+  const auto later = session.search(w.query);
+  EXPECT_EQ(later.result.alignments, reference.result.alignments);
+  EXPECT_EQ(session.shard().bin_grid(), grid);
+  EXPECT_EQ(grid->slots.data(), slots);
 }
 
 TEST_F(ChaosEquivalence, TransferFaultAbsorbedByCacheOffRetry) {

@@ -2,6 +2,8 @@
 // extension, masked collective behaviour, and device-buffer alignment.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "simt/device_buffer.hpp"
 #include "simt/engine.hpp"
 #include "util/rng.hpp"
@@ -152,6 +154,51 @@ TEST(Collectives, ReduceMaxMaskedRandomSweep) {
               << "width " << width << " lane " << lane;
         }
       }
+    }
+  }
+}
+
+TEST(Collectives, WindowedCollectivesRejectNonPowerOfTwoWidths) {
+  simt::Engine engine;
+  engine.launch({"bad_widths", 1, 32, 16}, [&](simt::BlockCtx& ctx) {
+    ctx.par([&](simt::WarpExec& w) {
+      LaneArray<int> vals{};
+      for (const int width : {3, 48}) {
+        EXPECT_THROW(w.window_inclusive_scan(vals, width),
+                     std::invalid_argument)
+            << width;
+        EXPECT_THROW(w.window_inclusive_max_scan(vals, width),
+                     std::invalid_argument)
+            << width;
+        EXPECT_THROW(w.window_reduce_max(vals, width), std::invalid_argument)
+            << width;
+        EXPECT_THROW(w.shfl_up(vals, 1, width), std::invalid_argument)
+            << width;
+        EXPECT_THROW(w.shfl(vals, 0, width), std::invalid_argument) << width;
+        EXPECT_THROW(w.shfl_xor(vals, 1, width), std::invalid_argument)
+            << width;
+      }
+    });
+  });
+}
+
+TEST(Collectives, ShflSourceWrapsModuloWidth) {
+  // As __shfl_sync: the source lane is taken modulo the width, so -1 reads
+  // the window's last lane and 33 its lane 1, never another window's.
+  for (const int width : {8, 32}) {
+    for (const int src : {-1, 33}) {
+      simt::Engine engine;
+      LaneArray<int> vals{};
+      engine.launch({"shfl_wrap", 1, 32, 16}, [&](simt::BlockCtx& ctx) {
+        ctx.par([&](simt::WarpExec& w) {
+          w.vec([&](int lane) { vals[lane] = 100 + lane; });
+          w.shfl(vals, src, width);
+        });
+      });
+      const int offset = src == -1 ? width - 1 : 1;
+      for (int lane = 0; lane < 32; ++lane)
+        EXPECT_EQ(vals[lane], 100 + lane / width * width + offset)
+            << "width " << width << " src " << src << " lane " << lane;
     }
   }
 }

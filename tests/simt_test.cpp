@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "simt/engine.hpp"
+#include "util/rng.hpp"
 
 namespace repro {
 namespace {
@@ -243,6 +244,25 @@ TEST(RoCache, DirectMappedEviction) {
   EXPECT_TRUE(cache.access(0));
   EXPECT_FALSE(cache.access(256));  // maps to slot 0: evicts line 0
   EXPECT_FALSE(cache.access(0));    // line 0 was evicted
+}
+
+TEST(RoCache, SlotIsLineModuloLineCountOverTheWholeAddressRange) {
+  // 48 kB of 128-byte lines: 384 slots, not a power of two. Two lines
+  // share a slot iff they are congruent modulo 384, whatever the line.
+  constexpr std::uint64_t kLines = 384;
+  util::Rng rng(kLines);
+  for (int trial = 0; trial < 2000; ++trial) {
+    // Lines below 2^57, so that line << 7 is still an address.
+    const std::uint64_t line = rng() >> (7 + trial % 48);
+    const std::uint64_t other =
+        trial % 2 == 0 ? line + kLines * (1 + rng.below(1000))  // same slot
+                       : line + 1 + rng.below(kLines - 1);      // another
+    simt::ReadOnlyCache cache(48 * 1024, 128);
+    EXPECT_FALSE(cache.access(line << 7));
+    EXPECT_FALSE(cache.access(other << 7));
+    EXPECT_EQ(cache.access(line << 7), line % kLines != other % kLines)
+        << line << " " << other;
+  }
 }
 
 // --- atomics ---------------------------------------------------------------

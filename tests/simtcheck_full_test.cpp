@@ -11,6 +11,7 @@
 #include <span>
 #include <vector>
 
+#include "core/bins.hpp"
 #include "simt/device_buffer.hpp"
 #include "simt/engine.hpp"
 #include "simt/simtcheck.hpp"
@@ -226,6 +227,63 @@ TEST(InitCheck, KernelWriteDefinesAcrossLaunches) {
                   });
                 });
   EXPECT_EQ(engine.hazards().total, 0u) << engine.hazards().summary();
+}
+
+/// Reads slot 0 of `grid` from lane 0 of a one-warp launch.
+void read_first_slot(simt::Engine& engine, const core::BinGrid& grid) {
+  engine.launch(launch_shape("bin_reader", 1, 32), [&](simt::BlockCtx& ctx) {
+    ctx.par([&](simt::WarpExec& w) {
+      simt::LaneArray<std::uint32_t> idx{};
+      simt::LaneArray<std::uint64_t> vals{};
+      w.if_then([](int lane) { return lane == 0; },
+                [&] { w.gather(grid.slots.data(), idx, vals); });
+    });
+  });
+}
+
+TEST(InitCheck, RearmedBinGridSlotReadBeforeWriteDetected) {
+  // A session re-arms one bin grid for every block attempt instead of
+  // allocating a fresh one. Only slots claimed in this launch may be read
+  // back, so re-arming marks every slot undefined again: a slot written
+  // before the re-arm reads as garbage, as in a fresh cudaMalloc.
+  auto engine = checked_engine();
+  core::BinGrid grid(1, 1, 4);
+  engine.launch(launch_shape("bin_writer", 1, 32), [&](simt::BlockCtx& ctx) {
+    ctx.par([&](simt::WarpExec& w) {
+      simt::LaneArray<std::uint32_t> idx{};
+      simt::LaneArray<std::uint64_t> vals{};
+      vals.fill(7);
+      w.if_then([](int lane) { return lane == 0; },
+                [&] { w.scatter(grid.slots.data(), idx, vals); });
+    });
+  });
+  read_first_slot(engine, grid);
+  EXPECT_EQ(engine.hazards().total, 0u) << engine.hazards().summary();
+
+  grid.rearm(4);
+  read_first_slot(engine, grid);
+  const auto& report = engine.hazards();
+  EXPECT_EQ(report.count(simt::HazardKind::kGlobalUninitRead), 1u);
+  ASSERT_FALSE(report.records.empty());
+  EXPECT_EQ(report.records[0].address,
+            reinterpret_cast<std::uintptr_t>(grid.slots.data()));
+  EXPECT_EQ(report.records[0].extent, sizeof(std::uint64_t));
+}
+
+TEST(InitCheck, RearmPoisonsAGridAllocatedBeforeTheShadowSwitch) {
+  // A grid allocated while the shadow switch was off carries no shadow
+  // (grandfathered all-defined). Its first re-arm after the switch came on
+  // gives it one, so the resident grid is checked like a fresh one.
+  simt::set_device_shadow_enabled(false);
+  core::BinGrid grid(1, 1, 4);
+  auto engine = checked_engine();
+  read_first_slot(engine, grid);
+  EXPECT_EQ(engine.hazards().total, 0u) << engine.hazards().summary();
+
+  grid.rearm(4);
+  read_first_slot(engine, grid);
+  EXPECT_EQ(engine.hazards().count(simt::HazardKind::kGlobalUninitRead), 1u)
+      << engine.hazards().summary();
 }
 
 TEST(InitCheck, ReportIsDeterministicAcrossWorkerCounts) {
