@@ -38,7 +38,7 @@ class Blosum62 {
     return padded_;
   }
 
-  /// Highest score in the matrix (used by seeding heuristics and tests).
+  /// Highest score in the matrix.
   [[nodiscard]] Score max_score() const { return max_score_; }
 
  private:

@@ -104,7 +104,7 @@ GappedStageOutput process_gapped_stage(
   GappedAligner aligner(pssm, params);
   for (const Seed& seed : seeds) {
     const auto subject = db.residues(seed.seq);
-    util::Timer gapped_timer;
+    util::ThreadCpuTimer gapped_timer;
     const GappedScore gs = aligner.extend(subject, seed.q_seed, seed.s_seed);
     const double gapped_cost = gapped_timer.seconds();
     out.gapped_seconds += gapped_cost;
@@ -113,7 +113,7 @@ GappedStageOutput process_gapped_stage(
     out.dp_cells += gs.cells;
     if (gs.score < traceback_cutoff) continue;
 
-    util::Timer traceback_timer;
+    util::ThreadCpuTimer traceback_timer;
     Alignment alignment = aligner.traceback(seed.seq);
     const double tb_cost = traceback_timer.seconds();
     out.traceback_seconds += tb_cost;

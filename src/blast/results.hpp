@@ -25,7 +25,8 @@ struct GappedStageOutput {
   std::uint64_t dp_cells = 0;  ///< sum of GappedScore::cells over the seeds
   double gapped_seconds = 0.0;
   double traceback_seconds = 0.0;
-  /// Per-seed costs (seconds), for the makespan scheduling model.
+  /// Per-seed costs (seconds of thread CPU time), for the makespan
+  /// scheduling model.
   std::vector<double> gapped_task_costs;
   std::vector<double> traceback_task_costs;
 };

@@ -14,6 +14,64 @@ std::uint32_t pow_alphabet(int w) {
   return n;
 }
 
+/// One query letter's BLOSUM62 row over the standard amino acids, sorted
+/// by descending score: scores[0] is the best any word letter can add.
+struct SortedRow {
+  std::array<std::uint8_t, bio::kNumRealAminoAcids> letters{};
+  std::array<int, bio::kNumRealAminoAcids> scores{};
+};
+
+using SortedRows = std::array<SortedRow, bio::kAlphabetSize>;
+
+SortedRows sort_rows(const bio::Blosum62& matrix) {
+  SortedRows rows{};
+  for (int a = 0; a < bio::kAlphabetSize; ++a) {
+    SortedRow& row = rows[static_cast<std::size_t>(a)];
+    for (int b = 0; b < bio::kNumRealAminoAcids; ++b)
+      row.letters[static_cast<std::size_t>(b)] = static_cast<std::uint8_t>(b);
+    const auto score = [&](std::uint8_t b) {
+      return matrix.score(static_cast<std::uint8_t>(a), b);
+    };
+    std::sort(row.letters.begin(), row.letters.end(),
+              [&](std::uint8_t x, std::uint8_t y) {
+                return score(x) > score(y);
+              });
+    for (int i = 0; i < bio::kNumRealAminoAcids; ++i)
+      row.scores[static_cast<std::size_t>(i)] =
+          score(row.letters[static_cast<std::size_t>(i)]);
+  }
+  return rows;
+}
+
+/// The neighbours of one query word: every W-mer of standard amino acids
+/// scoring >= T against it.
+struct NeighborWalk {
+  std::array<const SortedRow*, 8> rows{};  ///< the query word's letters
+  std::array<int, 9> best_rest{};  ///< best score levels [d, W) can add
+  int w = 0;
+  int t = 0;
+  std::uint32_t pos = 0;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>>* entries = nullptr;
+
+  /// Level `depth` extends `prefix` (scoring `score`) by each letter of its
+  /// sorted row, stopping at the first one whose best completion misses T.
+  void walk(int depth, int score, std::uint32_t prefix) const {
+    const SortedRow& row = *rows[static_cast<std::size_t>(depth)];
+    const int need =
+        t - score - best_rest[static_cast<std::size_t>(depth + 1)];
+    for (int i = 0; i < bio::kNumRealAminoAcids; ++i) {
+      const int s = row.scores[static_cast<std::size_t>(i)];
+      if (s < need) break;
+      const std::uint32_t word = prefix * bio::kAlphabetSize +
+                                 row.letters[static_cast<std::size_t>(i)];
+      if (depth + 1 == w)
+        entries->emplace_back(word, pos);
+      else
+        walk(depth + 1, score + s, word);
+    }
+  }
+};
+
 }  // namespace
 
 WordLookup::WordLookup(std::span<const std::uint8_t> query,
@@ -26,52 +84,30 @@ WordLookup::WordLookup(std::span<const std::uint8_t> query,
     throw std::invalid_argument("WordLookup: word_length must be in [2,5]");
   num_words_ = pow_alphabet(w_);
 
-  const int t = params.neighbor_threshold;
-  const int max_pair = matrix.max_score();
   const auto num_positions =
       query.size() >= static_cast<std::size_t>(w_)
           ? query.size() - static_cast<std::size_t>(w_) + 1
           : 0;
 
   // Enumerate, for each query word position, all W-mers of standard amino
-  // acids scoring >= T against it. Depth-first with optimistic pruning: a
-  // partial word is abandoned when even perfect remaining matches cannot
-  // reach T.
+  // acids scoring >= T against it. Each level walks its query letter's
+  // BLOSUM62 row in descending score order and breaks at the first letter
+  // with which even the best remaining letters cannot reach T, so the walk
+  // visits only prefixes of words it emits.
+  const SortedRows rows = sort_rows(matrix);
   std::vector<std::pair<std::uint32_t, std::uint32_t>> entries;  // word, pos
-  std::array<std::uint8_t, 8> word{};
+  NeighborWalk walk;
+  walk.w = w_;
+  walk.t = params.neighbor_threshold;
+  walk.entries = &entries;
   for (std::size_t pos = 0; pos < num_positions; ++pos) {
-    const std::uint8_t* q = query.data() + pos;
-
-    // Iterative DFS over word letters.
-    int depth = 0;
-    word[0] = 0;
-    std::array<int, 8> partial{};  // score of word[0..depth)
-    while (depth >= 0) {
-      if (word[static_cast<std::size_t>(depth)] >=
-          bio::kNumRealAminoAcids) {
-        --depth;
-        if (depth >= 0) ++word[static_cast<std::size_t>(depth)];
-        continue;
-      }
-      const int score =
-          partial[static_cast<std::size_t>(depth)] +
-          matrix.score(q[depth], word[static_cast<std::size_t>(depth)]);
-      const int remaining = (w_ - depth - 1) * max_pair;
-      if (score + remaining < t) {
-        ++word[static_cast<std::size_t>(depth)];
-        continue;
-      }
-      if (depth + 1 == w_) {
-        if (score >= t)
-          entries.emplace_back(word_index(word.data(), w_),
-                               static_cast<std::uint32_t>(pos));
-        ++word[static_cast<std::size_t>(depth)];
-      } else {
-        partial[static_cast<std::size_t>(depth + 1)] = score;
-        ++depth;
-        word[static_cast<std::size_t>(depth)] = 0;
-      }
+    for (int d = w_ - 1; d >= 0; --d) {
+      const auto i = static_cast<std::size_t>(d);
+      walk.rows[i] = &rows[query[pos + i]];
+      walk.best_rest[i] = walk.best_rest[i + 1] + walk.rows[i]->scores[0];
     }
+    walk.pos = static_cast<std::uint32_t>(pos);
+    walk.walk(0, 0, 0);
   }
 
   // Bucket entries by word index (counting sort keeps position order stable

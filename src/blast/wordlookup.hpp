@@ -6,6 +6,12 @@
 // detection then walks the subject sequence and, for each subject word,
 // retrieves the matching query positions in O(1).
 //
+// The table is built per query on the host. Each query word's neighbours
+// are enumerated letter by letter over BLOSUM62 rows sorted by descending
+// score; a level stops at the first letter with which even the best
+// remaining letters cannot reach T, so the build costs in proportion to
+// the entries it emits.
+//
 // The Dfa view reorganizes the same data the way FSA-BLAST does: a state
 // per (W-1)-letter prefix with one transition per next letter, so hit
 // detection needs only one state step and one entry load per subject letter.

@@ -65,8 +65,9 @@ struct BinGrid {
       : num_warps(warps),
         num_bins(bins),
         capacity(cap),
-        // DeviceVector(n) value-initializes, so construction zero-fills
-        // every slot; rearm() skips that fill.
+        // Slots are left unfilled, as cudaMalloc leaves them: K1 writes
+        // every slot it claims before anything reads it, so only the pages
+        // it writes are ever committed.
         slots(slot_count(warps, bins, cap)),
         // counts/overflow are zero-filled (the cudaMemset a real grid setup
         // performs): the kernels atomically bump them with no prior store.
@@ -95,9 +96,10 @@ struct BinGrid {
     return slot_count(num_warps, num_bins, cap) <= slots.size();
   }
   /// Arms the grid for another K1 launch of `cap` slots per bin (requires
-  /// fits(cap)): sets the capacity and clears the counters. Slots are not
-  /// re-zeroed, since only claimed slots are read back; initcheck marks
-  /// them undefined again, so reading an unclaimed one is still reported.
+  /// fits(cap)): sets the capacity and clears the counters. Slots keep what
+  /// earlier launches wrote, since only claimed slots are read back;
+  /// initcheck marks them undefined again, so reading an unclaimed one is
+  /// still reported.
   void rearm(std::uint32_t cap) {
     capacity = cap;
     counts.assign(counts.size(), 0);

@@ -62,14 +62,17 @@ struct DeviceAllocator {
 
   /// Initcheck hook: constructing an element *with* a value models staging
   /// real host data into the buffer (the cudaMemcpy/cudaMemset analogue),
-  /// so those bytes become defined. Value-construction (vector(n), resize)
-  /// models cudaMalloc leaving garbage — physically the element is still
-  /// zeroed (results never change), but the definedness shadow keeps it
-  /// poisoned until a kernel write or mark_device_initialized defines it.
+  /// so those bytes become defined. Construction without one (vector(n),
+  /// resize) default-initializes, so it writes nothing, as cudaMalloc
+  /// writes nothing: the bytes hold whatever the heap left there, pages
+  /// nothing touches stay uncommitted, and the definedness shadow keeps
+  /// them poisoned until a kernel write or mark_device_initialized.
   template <class U, class... Args>
   void construct(U* p, Args&&... args) {
-    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
-    if constexpr (sizeof...(Args) > 0) {
+    if constexpr (sizeof...(Args) == 0) {
+      ::new (static_cast<void*>(p)) U;
+    } else {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
       if (simtcheck_detail::device_shadow_flag.load(std::memory_order_relaxed))
         mark_device_initialized(p, sizeof(U));
     }

@@ -23,11 +23,13 @@
 //  - Memcheck: accesses past a shared span, into a released (reset())
 //    arena, or outside any registered DeviceAllocator allocation.
 //  - Initcheck: every byte of a device allocation (and of a plain shared
-//    alloc()) starts *undefined* — the simulator's physical zero-fill is an
-//    artifact cudaMalloc and __shared__ do not grant. Bytes become defined
-//    when real host data is staged in (DeviceAllocator's construct hook,
-//    mark_device_initialized), when a kernel writes them, or when the
-//    kernel declares a cooperative memset with SharedMemory::alloc_zeroed.
+//    alloc()) starts *undefined*. A device allocation physically holds
+//    whatever the heap left there, as cudaMalloc's does; the shared
+//    arena's zero-fill is an artifact __shared__ does not grant. Bytes
+//    become defined when real host data is staged in (DeviceAllocator's
+//    construct hook, mark_device_initialized), when a kernel writes them,
+//    or when the kernel declares a cooperative memset with
+//    SharedMemory::alloc_zeroed.
 //    A read (or atomic RMW) of a still-undefined byte is garbage on
 //    hardware and is flagged. Per block the verdict depends only on the
 //    registry state at launch entry plus the block's own prior writes, so

@@ -82,11 +82,12 @@ class Timer {
 };
 
 /// Per-thread CPU-time stopwatch (CLOCK_THREAD_CPUTIME_ID). Use this to
-/// cost a task that runs inside a thread pool: unlike wall-clock, it is
-/// not inflated by time-slicing against the pool's other workers (which
-/// matters on machines with fewer cores than workers). This is a CPU-time
-/// clock, not a second monotonic-timeline abstraction — timeline reads
-/// stay on MonotonicClock.
+/// cost a task: unlike wall-clock, it is not inflated by time-slicing
+/// against other threads (which matters on machines with fewer cores than
+/// workers). This is a CPU-time clock, not a second monotonic-timeline
+/// abstraction — timeline reads stay on MonotonicClock. In virtual mode it
+/// reads MonotonicClock's ticks, so costs measured with it are as
+/// deterministic as Timer's.
 class ThreadCpuTimer {
  public:
   ThreadCpuTimer() : start_(now()) {}
@@ -97,6 +98,8 @@ class ThreadCpuTimer {
 
  private:
   static double now() {
+    if (MonotonicClock::is_virtual()) [[unlikely]]
+      return static_cast<double>(MonotonicClock::now_ns()) * 1e-9;
     timespec ts{};
     clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
     return static_cast<double>(ts.tv_sec) +

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "bio/generator.hpp"
 #include "blast/seeding.hpp"
@@ -16,42 +18,70 @@ namespace {
 using blast::SearchParams;
 using blast::WordLookup;
 
-/// Brute-force neighborhood oracle: all standard-AA words scoring >= T
-/// against the query word at `pos`.
-std::set<std::uint32_t> brute_force_neighbors(
-    const std::vector<std::uint8_t>& query, std::size_t pos,
-    const SearchParams& params) {
+/// Brute-force neighborhood oracle: for every W-mer of standard amino
+/// acids, the query positions whose word it scores >= T against, in
+/// ascending order (keyed by word index; words without positions absent).
+std::map<std::uint32_t, std::vector<std::uint32_t>> brute_force_neighbors(
+    const std::vector<std::uint8_t>& query, const SearchParams& params) {
   const auto& m = bio::Blosum62::instance();
-  std::set<std::uint32_t> words;
-  for (std::uint8_t a = 0; a < bio::kNumRealAminoAcids; ++a)
-    for (std::uint8_t b = 0; b < bio::kNumRealAminoAcids; ++b)
-      for (std::uint8_t c = 0; c < bio::kNumRealAminoAcids; ++c) {
-        const int score = m.score(query[pos], a) + m.score(query[pos + 1], b) +
-                          m.score(query[pos + 2], c);
-        if (score >= params.neighbor_threshold) {
-          const std::uint8_t w[3] = {a, b, c};
-          words.insert(WordLookup::word_index(w, 3));
-        }
-      }
-  return words;
+  const auto w = static_cast<std::size_t>(params.word_length);
+  std::map<std::uint32_t, std::vector<std::uint32_t>> table;
+  for (std::size_t pos = 0; pos + w <= query.size(); ++pos) {
+    std::vector<std::uint8_t> word(w, 0);
+    while (true) {
+      int score = 0;
+      for (std::size_t i = 0; i < w; ++i)
+        score += m.score(query[pos + i], word[i]);
+      if (score >= params.neighbor_threshold)
+        table[WordLookup::word_index(word.data(), params.word_length)]
+            .push_back(static_cast<std::uint32_t>(pos));
+      // Next word, last letter fastest.
+      std::size_t i = w;
+      while (i > 0 && ++word[i - 1] == bio::kNumRealAminoAcids) word[--i] = 0;
+      if (i == 0) break;
+    }
+  }
+  return table;
 }
 
 TEST(WordLookup, MatchesBruteForceNeighborhood) {
-  const auto query = bio::encode_string("MKWVTFISLLFLFSSAYS");
-  SearchParams params;
-  WordLookup lookup(query, bio::Blosum62::instance(), params);
-
-  for (std::size_t pos = 0; pos + 3 <= query.size(); ++pos) {
-    const auto expected = brute_force_neighbors(query, pos, params);
-    // Gather all words that list `pos`.
-    std::set<std::uint32_t> actual;
-    for (std::uint32_t w = 0; w < lookup.num_words(); ++w) {
-      const auto positions = lookup.positions(w);
-      if (std::find(positions.begin(), positions.end(),
-                    static_cast<std::uint32_t>(pos)) != positions.end())
-        actual.insert(w);
+  // Every word's position list must equal the oracle's: its set and its
+  // count. With PositionsAscendingPerWord this pins both buffers exactly.
+  struct Case {
+    std::string query;
+    std::vector<int> word_lengths;
+  };
+  const std::vector<Case> cases = {
+      {"MKWVTFISLLFLFSSAYS", {2, 3, 4}},
+      // B, Z, X and * (codes 20-23) never appear in a neighbour word, but
+      // they score against every letter of one.
+      {"MBKZWX*VTFBBZISX*LW", {2, 3, 4}},
+      {"WCBZX*HY", {5}},
+  };
+  for (const Case& c : cases) {
+    const auto query = bio::encode_string(c.query);
+    for (const int w : c.word_lengths) {
+      for (const int t : {9, 11, 13, 15}) {
+        SearchParams params;
+        params.word_length = w;
+        params.neighbor_threshold = t;
+        const WordLookup lookup(query, bio::Blosum62::instance(), params);
+        const auto expected = brute_force_neighbors(query, params);
+        std::size_t entries = 0;
+        for (std::uint32_t word = 0; word < lookup.num_words(); ++word) {
+          const auto positions = lookup.positions(word);
+          entries += positions.size();
+          const auto it = expected.find(word);
+          const std::vector<std::uint32_t> want =
+              it == expected.end() ? std::vector<std::uint32_t>{} : it->second;
+          ASSERT_EQ(std::vector<std::uint32_t>(positions.begin(),
+                                               positions.end()),
+                    want)
+              << c.query << " W=" << w << " T=" << t << " word " << word;
+        }
+        EXPECT_EQ(entries, lookup.total_entries());
+      }
     }
-    EXPECT_EQ(actual, expected) << "at query position " << pos;
   }
 }
 

@@ -625,6 +625,10 @@ TEST(MonotonicClock, VirtualModeCountsTicksDeterministically) {
     EXPECT_EQ(c - b, 1000u);
     util::Timer timer;
     EXPECT_GT(timer.seconds(), 0.0);  // the read itself advances the clock
+    // Thread CPU time reads the same ticks, so per-seed costs stay
+    // deterministic under the virtual clock.
+    util::ThreadCpuTimer cpu;
+    EXPECT_NEAR(cpu.seconds(), 1e-6, 1e-12);
   }
   EXPECT_FALSE(util::MonotonicClock::is_virtual());
   const auto a = util::MonotonicClock::now_ns();
