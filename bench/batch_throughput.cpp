@@ -1,9 +1,9 @@
 // Batch throughput: the SearchSession generalization of the paper's
 // Fig. 12 overlap across queries. One session answers a stream of queries
-// against a resident database — the upload is paid once and query q+1's
-// GPU phases overlap query q's CPU gapped stage — versus the one-shot
-// CuBlastp::search path, which pays a fresh engine and a full database
-// upload per query.
+// against a resident database — the upload is paid once, and the modeled
+// pipeline overlaps query q+1's GPU phases with query q's CPU gapped stage
+// — versus the one-shot CuBlastp::search path, which pays a fresh engine
+// and a full database upload per query.
 //
 //   ./batch_throughput [--swissprot=N] [--seed=S] [--quick]
 //                      [--json_out=PATH]

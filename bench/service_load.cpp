@@ -16,7 +16,7 @@
 // (0.5x, 1x, 2x, 4x capacity), offered and achieved qps, accept/reject
 // counts, and p50/p99 latency of completed requests.
 //
-// Also runs a shard-count sweep (K = 1, 2, 4 over a ShardedSession fleet,
+// Also runs a shard-count sweep (K = 1, 2, 4 shards of one SearchSession,
 // DESIGN.md §17) and writes bench_results/shard_scaling.json (schema
 // cublastp.bench.v1, gated by scripts/check_bench_regression.py): per-K
 // alignment counts must be identical, and the modeled fleet batch
@@ -36,7 +36,6 @@
 #include "common.hpp"
 #include "core/search_session.hpp"
 #include "core/service.hpp"
-#include "core/sharded_session.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -78,7 +77,7 @@ int run_shard_scaling(const repro::util::Options& options,
   for (const std::size_t k : {1u, 2u, 4u}) {
     auto config = default_cublastp_config();
     config.shards = k;
-    core::ShardedSession fleet(config, w.db);
+    core::SearchSession fleet(config, w.db);
     const auto batch = fleet.search_batch(spans);
 
     std::uint64_t alignments = 0;
@@ -160,7 +159,7 @@ int main(int argc, char** argv) {
   print_banner("service_load",
                "not a paper figure: open-loop offered-load sweep against "
                "the SearchService admission queue (DESIGN.md §14) plus the "
-               "ShardedSession shard-count sweep (DESIGN.md §17)",
+               "SearchSession shard-count sweep (DESIGN.md §17)",
                setup);
 
   if (options.has("shards-only"))

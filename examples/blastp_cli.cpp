@@ -17,14 +17,15 @@
 // value voids the losslessness guarantee).
 //
 // Batch mode: --batch=queries.fasta (instead of --query) answers every
-// query through one core::ShardedSession::search_batch — the database is
-// uploaded once and each query is scattered across the --shards=K fleet.
-// --report-json then writes ONE cublastp.batch_report.v4 document instead
-// of an array of per-query reports.
+// query through one core::SearchSession::search_batch — the database is
+// uploaded once and the queries run one after another across the
+// --shards=K fleet. --report-json then writes ONE cublastp.batch_report.v4
+// document instead of an array of per-query reports.
 //
 // Sharding: --shards=K partitions the database blocks across a modeled
-// K-GPU scatter–gather fleet (DESIGN.md §17). Results are bit-identical
-// at every K; K=1 (the default) is the classic single-engine layout.
+// K-GPU fleet (DESIGN.md §17), whose shards run in order on the calling
+// thread. Results are bit-identical at every K; K=1 (the default) is the
+// single-engine layout.
 //
 // All-vs-all mode: --all-vs-all (with --db, no query file) searches every
 // database sequence as a query against the whole database through one
@@ -89,7 +90,6 @@
 #include "core/cublastp.hpp"
 #include "core/search_session.hpp"
 #include "core/service.hpp"
-#include "core/sharded_session.hpp"
 #include "util/metrics.hpp"
 #include "util/options.hpp"
 #include "util/table.hpp"
@@ -383,10 +383,9 @@ int run(int argc, char** argv) {
   bool deadline_missed = false;
 
   if (batch_mode || all_vs_all) {
-    // One fleet session, one batch: each shard's database slice uploads
-    // once and every query is scattered across the --shards=K fleet
-    // (K=1 = the classic single-engine session).
-    core::ShardedSession session(config, db);
+    // One session, one batch: each shard's database slice uploads once
+    // and every query runs across the --shards=K fleet.
+    core::SearchSession session(config, db);
     core::BatchReport batch;
     if (all_vs_all) {
       const auto limit = static_cast<std::size_t>(
@@ -436,10 +435,9 @@ int run(int argc, char** argv) {
     if (engine_name == "cublastp" && deadline_ms > 0.0)
       service.emplace(config, db);
     // With --profile or --shards>1 (and no service), queries go through
-    // one resident ShardedSession (K=1 behaves exactly like the old
-    // SearchSession) so the continuous profiler accumulates across the run
-    // and sharded queries scatter across the fleet.
-    std::optional<core::ShardedSession> session;
+    // one resident SearchSession so the continuous profiler accumulates
+    // across the run and the fleet is built once.
+    std::optional<core::SearchSession> session;
     if (engine_name == "cublastp" && !service.has_value() &&
         (!config.profile_path.empty() || config.shards > 1))
       session.emplace(config, db);

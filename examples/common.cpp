@@ -36,8 +36,8 @@ core::Config config_from_options(const util::Options& options) {
   config.cpu_threads = static_cast<std::size_t>(options.get_int("threads", 4));
   config.engine_workers =
       static_cast<int>(options.get_int("engine_workers", 1));
-  // --shards=K scatters each query across a modeled K-GPU fleet (clamped
-  // to the block count; results are bit-identical at every K).
+  // --shards=K runs each query across a modeled K-GPU fleet (clamped to
+  // the block count; results are bit-identical at every K).
   config.shards = static_cast<std::size_t>(
       std::max<std::int64_t>(1, options.get_int("shards", 1)));
   const std::string strategy = options.get("strategy", "window");

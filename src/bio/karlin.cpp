@@ -94,12 +94,6 @@ EvalueCalculator::EvalueCalculator(KarlinParams params,
   eff_n_ = std::max(num_seqs, n - num_seqs * l);
 }
 
-EvalueCalculator::EvalueCalculator(KarlinParams params,
-                                   std::size_t query_length,
-                                   const SearchSpace& space)
-    : EvalueCalculator(params, query_length, space.db_residues,
-                       space.db_sequences) {}
-
 double EvalueCalculator::bit_score(int raw_score) const {
   return (params_.lambda * raw_score - std::log(params_.k)) / std::log(2.0);
 }

@@ -41,30 +41,12 @@ struct KarlinParams {
     const Blosum62& matrix, const std::array<double, kAlphabetSize>& freqs,
     double lambda);
 
-/// An explicit search space: the database statistics the effective-length
-/// adjustment is computed over. Normally derived from the database handed
-/// to the calculator, but a sharded search (core::ShardedSession) must pin
-/// these to the *aggregate* fleet-wide values so every shard derives the
-/// same `min_significant_score` and pre-filter threshold regardless of
-/// which database slice it holds — merged results are then bit-identical
-/// to a single-engine search over the whole database.
-struct SearchSpace {
-  std::uint64_t db_residues = 0;  ///< total residues across every shard
-  std::size_t db_sequences = 0;   ///< total sequences across every shard
-};
-
 /// Statistics context for one search: query length m, database residue count
 /// n, database sequence count num_seqs.
 class EvalueCalculator {
  public:
   EvalueCalculator(KarlinParams params, std::size_t query_length,
                    std::uint64_t db_residues, std::size_t db_sequences);
-
-  /// Search-space override: identical to the four-argument constructor with
-  /// `space.db_residues` / `space.db_sequences` — the form shard workers
-  /// use so cutoffs come from aggregate statistics, not their local slice.
-  EvalueCalculator(KarlinParams params, std::size_t query_length,
-                   const SearchSpace& space);
 
   /// Bit score: S' = (lambda*S - ln K) / ln 2.
   [[nodiscard]] double bit_score(int raw_score) const;

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 
 #include "blast/types.hpp"
@@ -123,13 +124,11 @@ struct Config {
   /// bit-identical results and metrics.
   int engine_workers = 1;
 
-  /// Modeled GPUs in the scatter–gather fleet (DESIGN.md §17): a
-  /// core::ShardedSession partitions the database blocks contiguously
-  /// across this many core::EngineShard units, scatters each query to all
-  /// of them, and merges with aggregate Karlin–Altschul statistics.
-  /// 1 = today's single-engine layout (core::SearchSession is the K=1
-  /// special case). Clamped to the block count; any value yields results
-  /// bit-identical to the single-engine search.
+  /// Modeled GPUs in the fleet (DESIGN.md §17): core::SearchSession
+  /// partitions the database blocks contiguously across this many
+  /// core::EngineShard units and runs every shard's GPU half, in shard
+  /// order, for each query. 1 = the single-engine layout. Clamped to the
+  /// block count; any value yields results bit-identical to one engine.
   std::size_t shards = 1;
 
   /// Runs every kernel under the simtcheck hazard analyzer (racecheck/
@@ -177,5 +176,14 @@ struct Config {
     return detection_blocks * detection_block_threads / 32;
   }
 };
+
+/// A configured output path, or the environment variable that stands in
+/// for it when unset (Config::trace_path / REPRO_TRACE and friends).
+[[nodiscard]] inline std::string path_or_env(const std::string& configured,
+                                             const char* env_name) {
+  if (!configured.empty()) return configured;
+  if (const char* env = std::getenv(env_name)) return env;
+  return {};
+}
 
 }  // namespace repro::core

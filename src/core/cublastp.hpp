@@ -19,7 +19,7 @@ namespace repro::core {
 /// One engine shard's contribution to a query (schema v4 "shards" section;
 /// DESIGN.md §17): which contiguous database-block slice it owned, which
 /// backend served each of its blocks, how far down the degradation ladder
-/// it went, and the modeled device milliseconds it ran. A single-engine
+/// it went, and the modeled device milliseconds it ran. A one-shard
 /// SearchSession reports exactly one summary (shard 0, every block), so
 /// the section shape is identical at every fleet size.
 struct ShardSummary {

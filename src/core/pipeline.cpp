@@ -334,7 +334,7 @@ BlockOutcome run_block_on_cpu(const blast::WordLookup& lookup,
     span.arg("end_seq", static_cast<std::uint64_t>(end));
   }
   BlockOutcome out;
-  util::Timer timer;
+  util::ThreadCpuTimer timer;
   blast::TwoHitTracker tracker(query_length + db.max_length() + 2);
   for (std::size_t i = begin; i < end; ++i) {
     const auto counters = blast::run_ungapped_phase(
@@ -556,7 +556,7 @@ BlockCpuResult run_block_cpu_stage(
 double run_finalize(std::vector<blast::Alignment>& alignments,
                     const QueryContext& ctx, const Config& config) {
   util::TraceSpan finalize_span("finalize", "cpu");
-  util::Timer timer;
+  util::ThreadCpuTimer timer;
   blast::finalize_results(alignments, config.params, ctx.evalue);
   return timer.seconds();
 }

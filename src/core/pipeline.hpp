@@ -12,9 +12,9 @@
 //   stage 5  finalize (rank, e-values)    run_finalize
 //   model    Fig. 12 overlap walk         walk_pipeline / walk_batch_pipeline
 //
-// A SearchSession (search_session.hpp) owns the long-lived state (engine,
-// residency) and threads the stages together; the stages themselves hold no
-// hidden state beyond what their signatures say.
+// A SearchSession (search_session.hpp) owns the long-lived state (engine
+// shards, residency) and threads the stages together; the stages themselves
+// hold no hidden state beyond what their signatures say.
 #pragma once
 
 #include <cstdint>
@@ -90,7 +90,7 @@ struct BlockOutcome {
   std::uint64_t hits_detected = 0;
   std::uint64_t hits_after_filter = 0;
   std::uint64_t ungapped_extensions = 0;
-  double cpu_fallback_seconds = 0.0;  ///< host critical-phase cost (rung 3)
+  double cpu_fallback_seconds = 0.0;  ///< thread CPU seconds of rung 3
 };
 
 /// One GPU attempt at a block: K1 with bounded capacity growth, then K2-K5
@@ -191,15 +191,15 @@ struct BlockCpuResult {
 
 /// Stage 4: gapped extension + traceback for one block's qualifying
 /// ungapped extensions. Pure with respect to the engine and the session —
-/// it reads only the query context and the host database — so one query's
-/// CPU stage can run concurrently with another query's GPU stages.
+/// it reads only the query context and the host database — so the Fig. 12
+/// model may overlap it with other blocks' and other queries' GPU stages.
 [[nodiscard]] BlockCpuResult run_block_cpu_stage(
     const QueryContext& ctx, const bio::SequenceDatabase& db,
     std::span<const blast::UngappedExtension> extensions,
     const Config& config);
 
 /// Stage 5: merges per-block alignments, attaches e-values/bit scores,
-/// filters and ranks. Returns the host seconds spent.
+/// filters and ranks. Returns the thread CPU seconds spent.
 double run_finalize(std::vector<blast::Alignment>& alignments,
                     const QueryContext& ctx, const Config& config);
 

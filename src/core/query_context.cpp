@@ -19,14 +19,12 @@ void check_search_limits(std::span<const std::uint8_t> query,
 
 QueryContext::QueryContext(std::span<const std::uint8_t> query_residues,
                            const bio::SequenceDatabase& db,
-                           const Config& config,
-                           std::optional<bio::SearchSpace> space)
+                           const Config& config)
     : query(query_residues),
       lookup(query_residues, bio::Blosum62::instance(), config.params),
       pssm(query_residues, bio::Blosum62::instance()),
       evalue(bio::blosum62_gapped_11_1(), query_residues.size(),
-             space.has_value() ? space->db_residues : db.total_residues(),
-             space.has_value() ? space->db_sequences : db.size()),
+             db.total_residues(), db.size()),
       device(query_residues, lookup, pssm) {}
 
 }  // namespace repro::core

@@ -2,12 +2,10 @@
 // before any database block is touched — the DFA word lookup, the PSSM,
 // the e-value calculator, and the device-resident query image (the paper's
 // "Other" phase of Fig. 19d). Built once per query, then shared read-only
-// by every later stage, so the GPU ladder and the CPU gapped stage can run
-// for different queries concurrently without touching each other's state.
+// by every later stage and every engine shard.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 
 #include "bio/database.hpp"
@@ -32,16 +30,11 @@ struct QueryContext {
   bio::EvalueCalculator evalue;
   QueryDevice device;
 
-  /// `space`, when set, pins the Karlin–Altschul effective-length
-  /// adjustment to an explicit (aggregate) search space instead of `db`'s
-  /// own statistics. A sharded session passes the fleet-wide totals here so
-  /// every shard — whatever database slice it holds — derives the same
-  /// cutoffs, e-values, and pre-filter threshold as a single-engine search
-  /// over the whole database. Unset: derived from `db` (identical values
-  /// when `db` is the whole database).
+  /// The e-value calculator's search space is the whole of `db`, so every
+  /// shard of a session derives the same cutoffs, e-values and pre-filter
+  /// threshold, whichever blocks it holds.
   QueryContext(std::span<const std::uint8_t> query_residues,
-               const bio::SequenceDatabase& db, const Config& config,
-               std::optional<bio::SearchSpace> space = std::nullopt);
+               const bio::SequenceDatabase& db, const Config& config);
 };
 
 }  // namespace repro::core

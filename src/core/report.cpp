@@ -7,7 +7,7 @@
 // top-level "wall_ms" and terminal "status" fields (ok | degraded |
 // cancelled | deadline_exceeded | rejected) so service-layer consumers can
 // read the request's fate without parsing counters; v4 adds the per-shard
-// "shards" section (scatter–gather fleet observability; DESIGN.md §17) and
+// "shards" section (engine-shard fleet observability; DESIGN.md §17) and
 // the batch report's top-level "shards" fleet size.
 #include <algorithm>
 #include <cstdint>

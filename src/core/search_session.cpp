@@ -1,109 +1,238 @@
 #include "core/search_session.hpp"
 
-#include <future>
-#include <memory>
+#include <algorithm>
+#include <iterator>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/coarse_block.hpp"
 #include "core/errors.hpp"
 #include "core/prefilter.hpp"
 #include "core/query_context.hpp"
-#include "core/session_detail.hpp"
 #include "simt/simtcheck.hpp"
 #include "util/fault.hpp"
 #include "util/metrics.hpp"
 #include "util/svccheck.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 #include "util/trace.hpp"
 
 namespace repro::core {
 
-using detail::QueryRun;
+namespace {
+
+/// Modeled GPU time accumulated in `registry` for one kernel name (ms).
+double kernel_ms(const simt::ProfileRegistry& registry, const char* name) {
+  return registry.has(name) ? registry.at(name).time_ms : 0.0;
+}
+
+template <typename T>
+void append(std::vector<T>& to, std::vector<T>&& from) {
+  to.insert(to.end(), std::make_move_iterator(from.begin()),
+            std::make_move_iterator(from.end()));
+}
+
+// The cancellation checkpoints a successful search must poll (svccheck
+// coverage contract; DESIGN.md §15/§17). Every stage runs on the calling
+// thread, so one coverage scope sees them all at every shard count.
+constexpr const char* kAlwaysCheckpoints[] = {"search.entry", "query.start",
+                                              "finalize"};
+constexpr const char* kPerBlockCheckpoints[] = {
+    "gpu_phase.block", "block_ladder.entry", "cpu_phase.block"};
+
+/// Appends a kCheckpointGap hazard for every required checkpoint the scope
+/// never saw polled: the always set, plus the per-block set when the
+/// database has blocks.
+void append_checkpoint_gaps(const util::svc::CheckpointScope& scope,
+                            bool has_blocks, simt::HazardReport& sink) {
+  auto append_missing = [&](std::span<const char* const> required) {
+    for (const std::string& name : scope.missing(required)) {
+      simt::HazardRecord record;
+      record.kind = simt::HazardKind::kCheckpointGap;
+      record.kernel = "search";
+      record.detail = "cancellation checkpoint '" + name +
+                      "' was never polled during this search — requests "
+                      "cannot stop at that stage boundary";
+      sink.add(std::move(record));
+    }
+  };
+  append_missing(kAlwaysCheckpoints);
+  if (has_blocks) append_missing(kPerBlockCheckpoints);
+}
+
+/// What one search() or search_batch() call installs around its work: the
+/// config's fault schedule, whose fire counters then run across the whole
+/// call, and a trace session at Config::trace_path (else REPRO_TRACE). The
+/// trace session is passive when an outer owner (the CLI, the service)
+/// already started one, and the outer owner writes the file.
+struct CallScope {
+  explicit CallScope(const Config& config) {
+    if (!config.fault_schedule.empty())
+      faults.emplace(config.fault_schedule, config.fault_seed != 0
+                                                ? config.fault_seed
+                                                : util::default_fault_seed());
+    const std::string trace_path =
+        path_or_env(config.trace_path, "REPRO_TRACE");
+    if (!trace_path.empty()) trace.emplace(trace_path);
+  }
+
+  std::optional<util::FaultScope> faults;
+  std::optional<util::TraceSession> trace;
+};
+
+/// Writes the process metrics registry to Config::metrics_path (or
+/// REPRO_METRICS); no-op when neither is set.
+void export_metrics_if_configured(const Config& config) {
+  const std::string metrics_path =
+      path_or_env(config.metrics_path, "REPRO_METRICS");
+  if (metrics_path.empty()) return;
+  try {
+    util::metrics::Registry::instance().write_file(metrics_path);
+  } catch (const std::invalid_argument& e) {
+    // The util layer cannot name SearchError (layering); translate here so
+    // a typo'd --metrics path surfaces through the core error taxonomy.
+    throw SearchError(SearchErrorCode::kInvalidArgument, e.what());
+  }
+}
+
+}  // namespace
+
+/// One finished query: its report, plus the per-block costs the batch walk
+/// re-partitions by shard.
+struct SearchSession::QueryRun {
+  SearchReport report;
+  ModeledQuery modeled;  ///< blocks in global block order
+  double wall_seconds = 0.0;
+};
 
 SearchSession::SearchSession(Config config, const bio::SequenceDatabase& db)
-    : config_(normalized_config(std::move(config))),
-      db_(&db),
-      shard_(config_, db, /*shard_index=*/0, /*first_block=*/0,
-             db.split_blocks(config_.db_blocks)) {
+    : config_(normalized_config(std::move(config))), db_(&db) {
   check_search_limits({}, db);
+  const auto split = db.split_blocks(config_.db_blocks);
+  const std::size_t num_blocks = split.size();
+  const std::size_t k = std::clamp<std::size_t>(
+      config_.shards, 1, std::max<std::size_t>(1, num_blocks));
+  config_.shards = k;
+
+  shards_.reserve(k);
+  for (std::size_t s = 0; s < k; ++s) {
+    const auto first = static_cast<std::ptrdiff_t>(s * num_blocks / k);
+    const auto last = static_cast<std::ptrdiff_t>((s + 1) * num_blocks / k);
+    shards_.push_back(std::make_unique<EngineShard>(
+        config_, db, s, static_cast<std::size_t>(first),
+        std::vector<std::pair<std::size_t, std::size_t>>(
+            split.begin() + first, split.begin() + last)));
+  }
+
   if (config_.svccheck || util::svc::svccheck_env_enabled())
     util::svc::set_svccheck_enabled(true);
   // Everything allocated from here on belongs to this session for
   // leakcheck purposes; see leak_check().
   session_generation_ = simt::begin_device_generation();
-  profiler_.set_device(shard_.engine().spec());
+  profiler_.set_device(shards_.front()->engine().spec());
+}
+
+std::uint64_t SearchSession::resident_bytes() const {
+  std::uint64_t total = 0;
+  for (const auto& shard : shards_) total += shard->resident_bytes();
+  return total;
+}
+
+std::uint64_t SearchSession::block_uploads() const {
+  std::uint64_t total = 0;
+  for (const auto& shard : shards_) total += shard->block_uploads();
+  return total;
+}
+
+std::uint64_t SearchSession::db_device_bytes() const {
+  std::uint64_t total = 0;
+  for (const auto& shard : shards_) total += shard->db_device_bytes();
+  return total;
 }
 
 std::uint64_t SearchSession::leak_check(simt::HazardReport& sink) const {
   return simt::device_leak_check(sink, session_generation_);
 }
 
-void SearchSession::run_gpu_phases(std::span<const std::uint8_t> query,
-                                   QueryRun& run, std::size_t query_index) {
-  run.query_index = query_index;
-  run.fires_before = util::FaultInjector::instance().total_fires();
-  run.cancel.throw_if_stopped("query.start");
-
-  // --- stage 1: query preparation (the "Other" phase of Fig. 19d) --------
-  {
-    util::Timer prep_timer;
-    util::TraceSpan prep_span("query_prep", "core");
-    run.ctx.emplace(query, *db_, config_);
-    prep_span.end();
-    run.prep_s = prep_timer.seconds();
+void SearchSession::export_profile() const {
+  const std::string profile_path =
+      path_or_env(config_.profile_path, "REPRO_PROFILE");
+  if (profile_path.empty()) return;
+  try {
+    profiler_.write_file(profile_path);
+  } catch (const std::invalid_argument& e) {
+    throw SearchError(SearchErrorCode::kInvalidArgument, e.what());
   }
-
-  // --- stages 2+3: the shard's GPU half (upload, pre-filter, ladder) -----
-  ShardGpuResult gpu = shard_.run_gpu_blocks(*run.ctx, run.cancel);
-
-  run.report.prefilter_mode = config_.prefilter;
-  if (config_.prefilter != PrefilterMode::kOff)
-    run.report.prefilter_threshold =
-        prefilter_threshold_for(config_, run.ctx->evalue);
-
-  run.shards.clear();
-  run.shards.push_back(summarize_shard(shard_.index(), shard_.first_block(),
-                                       gpu));
-
-  run.report.bin_overflow_retries = gpu.bin_overflow_retries;
-  run.report.cache_off_retries = gpu.cache_off_retries;
-  run.report.degraded_blocks = gpu.degraded_blocks;
-  run.report.prefilter_sequences = gpu.prefilter_sequences;
-  run.report.prefilter_survivors = gpu.prefilter_survivors;
-  run.report.prefilter_degraded_blocks = gpu.prefilter_degraded_blocks;
-  run.report.retry_counts = std::move(gpu.retry_counts);
-  run.report.block_backends = std::move(gpu.block_backends);
-
-  auto& counters = run.report.result.counters;
-  counters.hits_detected = gpu.hits_detected;
-  counters.hits_after_filter = gpu.hits_after_filter;
-  counters.ungapped_extensions = gpu.ungapped_extensions;
-  counters.words_scanned = gpu.words_scanned;
-
-  run.block_extensions = std::move(gpu.block_extensions);
-  run.block_fallback_s = std::move(gpu.block_fallback_s);
-  run.block_gpu_ms = std::move(gpu.block_gpu_ms);
-  run.profile_delta = std::move(gpu.profile_delta);
-  run.hazards = std::move(gpu.hazards);
 }
 
-void SearchSession::run_cpu_phases(QueryRun& run) {
-  run.cpu = {};
-  const std::size_t num_blocks = shard_.num_blocks();
+SearchSession::QueryRun SearchSession::run_query(
+    std::span<const std::uint8_t> query, const CancellationToken& cancel,
+    std::size_t query_index, bool emit_modeled_trace) {
+  QueryRun run;
+  SearchReport& report = run.report;
+  auto& counters = report.result.counters;
+  const util::Timer wall;
+  const std::uint64_t fires_before =
+      util::FaultInjector::instance().total_fires();
+  cancel.throw_if_stopped("query.start");
+
+  // --- stage 1: query preparation (the "Other" phase of Fig. 19d) --------
+  // Built once, over the whole database: every shard scores and filters
+  // against the same cutoffs and e-values.
+  util::ThreadCpuTimer prep_timer;
+  util::TraceSpan prep_span("query_prep", "core");
+  const QueryContext ctx(query, *db_, config_);
+  prep_span.end();
+  run.modeled.prep_s = prep_timer.seconds();
+
+  report.prefilter_mode = config_.prefilter;
+  if (config_.prefilter != PrefilterMode::kOff)
+    report.prefilter_threshold = prefilter_threshold_for(config_, ctx.evalue);
+
+  // --- stages 2+3: each shard's GPU half, in shard order -----------------
+  // Shard order is global block order, so the launch and fault-point
+  // sequence is the same at every shard count.
+  std::vector<std::vector<blast::UngappedExtension>> block_extensions;
+  std::vector<double> block_gpu_ms;
+  std::vector<double> block_fallback_s;
+  for (const auto& shard : shards_) {
+    ShardGpuResult gpu = shard->run_gpu_blocks(ctx, cancel);
+    report.shards.push_back(
+        summarize_shard(shard->index(), shard->first_block(), gpu));
+
+    report.bin_overflow_retries += gpu.bin_overflow_retries;
+    report.cache_off_retries += gpu.cache_off_retries;
+    report.degraded_blocks += gpu.degraded_blocks;
+    report.prefilter_sequences += gpu.prefilter_sequences;
+    report.prefilter_survivors += gpu.prefilter_survivors;
+    report.prefilter_degraded_blocks += gpu.prefilter_degraded_blocks;
+    counters.hits_detected += gpu.hits_detected;
+    counters.hits_after_filter += gpu.hits_after_filter;
+    counters.ungapped_extensions += gpu.ungapped_extensions;
+    counters.words_scanned += gpu.words_scanned;
+
+    append(report.retry_counts, std::move(gpu.retry_counts));
+    append(report.block_backends, std::move(gpu.block_backends));
+    append(block_extensions, std::move(gpu.block_extensions));
+    append(block_gpu_ms, std::move(gpu.block_gpu_ms));
+    append(block_fallback_s, std::move(gpu.block_fallback_s));
+    for (const auto& [name, stats] : gpu.profile_delta.kernels())
+      report.profile.add(stats);
+    report.hazards.merge(gpu.hazards);
+  }
 
   // --- stage 4: gapped extension + traceback, block by block -------------
-  for (std::size_t bi = 0; bi < num_blocks; ++bi) {
-    run.cancel.throw_if_stopped("cpu_phase.block");
+  for (std::size_t bi = 0; bi < block_extensions.size(); ++bi) {
+    cancel.throw_if_stopped("cpu_phase.block");
     util::TraceSpan gapped_span;
     if (util::trace_enabled()) {
       gapped_span.open("gapped_stage", "cpu");
       gapped_span.arg("block", static_cast<std::uint64_t>(bi));
     }
-    BlockCpuResult stage = run_block_cpu_stage(
-        *run.ctx, *db_, run.block_extensions[bi], config_);
+    BlockCpuResult stage =
+        run_block_cpu_stage(ctx, *db_, block_extensions[bi], config_);
     if (gapped_span.active()) {
       gapped_span.arg("gapped_tasks",
                       static_cast<std::uint64_t>(stage.gapped_schedule.size()));
@@ -111,34 +240,104 @@ void SearchSession::run_cpu_phases(QueryRun& run) {
           "traceback_tasks",
           static_cast<std::uint64_t>(stage.traceback_schedule.size()));
     }
-    run.cpu.gapped_s += stage.gapped_makespan_seconds;
-    run.cpu.traceback_s += stage.traceback_makespan_seconds;
-    run.cpu.gapped_extensions += stage.gapped_extensions;
-    run.cpu.tracebacks += stage.tracebacks;
-    run.cpu.dp_cells += stage.dp_cells;
+    report.gapped_seconds += stage.gapped_makespan_seconds;
+    report.traceback_seconds += stage.traceback_makespan_seconds;
+    counters.gapped_extensions += stage.gapped_extensions;
+    counters.tracebacks += stage.tracebacks;
+    counters.dp_cells += stage.dp_cells;
 
     ModeledBlock modeled;
-    modeled.query_index = run.query_index;
+    modeled.query_index = query_index;
     modeled.block_index = bi;
-    modeled.gpu_s = run.block_gpu_ms[bi] / 1e3;
+    modeled.gpu_s = block_gpu_ms[bi] / 1e3;
     modeled.cpu_s = stage.gapped_makespan_seconds +
-                    stage.traceback_makespan_seconds +
-                    run.block_fallback_s[bi];
-    modeled.fallback_s = run.block_fallback_s[bi];
+                    stage.traceback_makespan_seconds + block_fallback_s[bi];
+    modeled.fallback_s = block_fallback_s[bi];
     modeled.gapped_schedule = std::move(stage.gapped_schedule);
     modeled.traceback_schedule = std::move(stage.traceback_schedule);
-    run.cpu.modeled.push_back(std::move(modeled));
+    run.modeled.blocks.push_back(std::move(modeled));
 
-    run.cpu.alignments.insert(
-        run.cpu.alignments.end(),
-        std::make_move_iterator(stage.alignments.begin()),
-        std::make_move_iterator(stage.alignments.end()));
+    append(report.result.alignments, std::move(stage.alignments));
   }
 
-  // --- stage 5: finalization ---------------------------------------------
-  run.cancel.throw_if_stopped("finalize");
-  run.cpu.finalize_s = run_finalize(run.cpu.alignments, *run.ctx, config_);
-  run.wall_seconds = run.wall.seconds();
+  // --- stage 5: finalization over the merged alignments ------------------
+  cancel.throw_if_stopped("finalize");
+  run.modeled.finalize_s =
+      run_finalize(report.result.alignments, ctx, config_);
+  run.wall_seconds = wall.seconds();
+
+  // --- the report: modeled phases, the Fig. 12 walk, metrics -------------
+  report.other_seconds = run.modeled.prep_s + run.modeled.finalize_s;
+  report.detection_ms = kernel_ms(report.profile, kKernelDetection);
+  report.scan_ms = kernel_ms(report.profile, kKernelScan);
+  report.assemble_ms = kernel_ms(report.profile, kKernelAssemble);
+  report.sort_ms = kernel_ms(report.profile, kKernelSort);
+  report.filter_ms = kernel_ms(report.profile, kKernelFilter);
+  report.extension_ms = kernel_ms(report.profile, kKernelExtension);
+  report.prefilter_ms = kernel_ms(report.profile, kKernelPrefilter);
+  report.coarse_ms = kernel_ms(report.profile, kKernelCoarse);
+  report.h2d_ms = kernel_ms(report.profile, "h2d_query") +
+                  kernel_ms(report.profile, "h2d_block") +
+                  kernel_ms(report.profile, "h2d_prefilter") +
+                  kernel_ms(report.profile, "h2d_survivors");
+  report.d2h_ms = kernel_ms(report.profile, "d2h_extensions") +
+                  kernel_ms(report.profile, "d2h_prefilter");
+
+  const PipelineTotals totals = walk_pipeline(
+      run.modeled.blocks, config_.cpu_threads, emit_modeled_trace);
+  report.overlapped_total_seconds = totals.overlapped_s + report.other_seconds;
+  report.serial_total_seconds = totals.serial_s + report.other_seconds;
+
+  double fallback_seconds = 0.0;
+  for (const double s : block_fallback_s) fallback_seconds += s;
+
+  // Map into the common PhaseTimings (GPU ms -> seconds). Degraded blocks
+  // fold their host-side critical-phase cost into hit detection, where the
+  // work they replaced lives; so do the pre-filter and coarse-backend
+  // kernels, which substitute for (parts of) hit detection.
+  report.result.timings.hit_detection =
+      (report.detection_ms + report.scan_ms + report.assemble_ms +
+       report.sort_ms + report.filter_ms + report.prefilter_ms +
+       report.coarse_ms) /
+          1e3 +
+      fallback_seconds;
+  report.result.timings.ungapped_extension = report.extension_ms / 1e3;
+  report.result.timings.gapped_extension = report.gapped_seconds;
+  report.result.timings.traceback = report.traceback_seconds;
+  report.result.timings.other =
+      report.other_seconds + (report.h2d_ms + report.d2h_ms) / 1e3;
+
+  report.wall_ms = run.wall_seconds * 1e3;
+  report.status = report.degraded() ? "degraded" : "ok";
+
+  report.faults_encountered =
+      util::FaultInjector::instance().total_fires() - fires_before;
+  if (util::trace_enabled() && report.faults_encountered > 0)
+    util::trace_instant("faults_absorbed", "degrade",
+                        {util::targ("count", report.faults_encountered)});
+
+  // Metrics are always on (lock-free recording; see util/metrics.hpp) —
+  // only the export is gated on a destination being configured.
+  auto& registry = util::metrics::Registry::instance();
+  registry.counter("core.searches").add(1);
+  registry.counter("core.alignments").add(report.result.alignments.size());
+  registry.counter("core.bin_overflow_retries")
+      .add(report.bin_overflow_retries);
+  registry.counter("core.cache_off_retries").add(report.cache_off_retries);
+  registry.counter("core.degraded_blocks").add(report.degraded_blocks);
+  registry.counter("core.faults_absorbed").add(report.faults_encountered);
+  registry.counter("core.prefilter_sequences").add(report.prefilter_sequences);
+  registry.counter("core.prefilter_survivors").add(report.prefilter_survivors);
+  registry.counter("core.prefilter_degraded_blocks")
+      .add(report.prefilter_degraded_blocks);
+  registry.histogram("core.search_wall_seconds").observe(run.wall_seconds);
+
+  // Continuous profiler: fold this query's per-kernel delta into the
+  // session-lifetime aggregate (simtprof; DESIGN.md §16). Collection is
+  // unconditional — it reads counters the engines already measured, so it
+  // cannot perturb results — and export stays gated on a path.
+  profiler_.record_search(report.profile, report.wall_ms);
+  return run;
 }
 
 SearchReport SearchSession::search(std::span<const std::uint8_t> query,
@@ -152,64 +351,37 @@ SearchReport SearchSession::search(std::span<const std::uint8_t> query,
   util::svc::CheckpointScope checkpoints;
   const std::uint64_t query_generation = simt::begin_device_generation();
   cancel.throw_if_stopped("search.entry");
+  const CallScope scope(config_);
 
-  std::optional<util::FaultScope> fault_scope;
-  if (!config_.fault_schedule.empty())
-    fault_scope.emplace(config_.fault_schedule,
-                        config_.fault_seed != 0 ? config_.fault_seed
-                                                : util::default_fault_seed());
-
-  // Observability session: Config::trace_path, else REPRO_TRACE. If an
-  // outer owner (the CLI) already started a session this scope is passive
-  // and the outer owner writes the file.
-  const std::string trace_path =
-      detail::path_or_env(config_.trace_path, "REPRO_TRACE");
-  std::optional<util::TraceSession> trace_session;
-  if (!trace_path.empty()) trace_session.emplace(trace_path);
-
-  SearchReport report;
-  {
-    QueryRun run;
-    run.cancel = cancel;
-    util::TraceSpan search_span("cublastp.search", "core");
-    if (search_span.active()) {
-      search_span.arg("query_length", static_cast<std::uint64_t>(query.size()));
-      search_span.arg("db_sequences", static_cast<std::uint64_t>(db_->size()));
-      search_span.arg("db_blocks",
-                      static_cast<std::uint64_t>(config_.db_blocks));
-      search_span.arg("engine_workers", config_.engine_workers);
-    }
-
-    run_gpu_phases(query, run, 0);
-    run_cpu_phases(run);
-    detail::finish_search_report(run, config_, profiler_,
-                                 /*emit_modeled_trace=*/true);
-
-    if (search_span.active()) {
-      search_span.arg(
-          "alignments",
-          static_cast<std::uint64_t>(run.report.result.alignments.size()));
-      search_span.arg("degraded_blocks", run.report.degraded_blocks);
-      search_span.arg("faults_absorbed", run.report.faults_encountered);
-    }
-    search_span.end();
-    report = std::move(run.report);
-  }  // QueryRun dies here: its QueryContext device buffers must all be gone
-     // before the leak scan below, or they would read as leaks.
+  util::TraceSpan search_span("cublastp.search", "core");
+  if (search_span.active()) {
+    search_span.arg("query_length", static_cast<std::uint64_t>(query.size()));
+    search_span.arg("db_sequences", static_cast<std::uint64_t>(db_->size()));
+    search_span.arg("db_blocks", static_cast<std::uint64_t>(config_.db_blocks));
+    search_span.arg("engine_workers", config_.engine_workers);
+    search_span.arg("shards", static_cast<std::uint64_t>(shards_.size()));
+  }
+  SearchReport report =
+      run_query(query, cancel, 0, /*emit_modeled_trace=*/true).report;
+  if (search_span.active()) {
+    search_span.arg("alignments", static_cast<std::uint64_t>(
+                                      report.result.alignments.size()));
+    search_span.arg("degraded_blocks", report.degraded_blocks);
+    search_span.arg("faults_absorbed", report.faults_encountered);
+  }
+  search_span.end();
 
   // leakcheck: any device allocation made during this query and still live
   // now outlived it (the DeviceResidentScope-tagged database image is
   // exempt — outliving queries is its purpose).
-  if (shard_.engine().simtcheck_enabled())
+  if (shards_.front()->engine().simtcheck_enabled())
     simt::device_leak_check(report.hazards, query_generation);
   // svccheck: assert the stage-boundary checkpoint coverage contract.
   if (util::svc::svccheck_enabled())
-    detail::append_checkpoint_gaps(
-        checkpoints, detail::kSearchAlwaysCheckpoints,
-        detail::kSearchPerBlockCheckpoints, shard_.num_blocks() > 0,
-        report.hazards);
+    append_checkpoint_gaps(checkpoints, shards_.front()->num_blocks() > 0,
+                           report.hazards);
 
-  detail::export_metrics_if_configured(config_);
+  export_metrics_if_configured(config_);
   export_profile();
   return report;
 }
@@ -217,118 +389,101 @@ SearchReport SearchSession::search(std::span<const std::uint8_t> query,
 BatchReport SearchSession::search_batch(
     std::span<const std::span<const std::uint8_t>> queries) {
   BatchReport batch;
+  batch.shards = shards_.size();
   if (queries.empty()) return batch;
-  // Fail fast on any invalid query before any work is scheduled.
+  // Fail fast on any invalid query before any work is done.
   for (const auto& query : queries) check_search_limits(query, *db_);
-  // Leakcheck floor for the whole batch (scanned once, after every run's
-  // device buffers are destroyed).
+  // Leakcheck floor for the whole batch (scanned once, at the end).
   const std::uint64_t batch_generation = simt::begin_device_generation();
+  const CallScope scope(config_);
 
-  // One fault scope around the whole batch: the schedule's fire counters
-  // run across all queries, like one long-lived service would see.
-  std::optional<util::FaultScope> fault_scope;
-  if (!config_.fault_schedule.empty())
-    fault_scope.emplace(config_.fault_schedule,
-                        config_.fault_seed != 0 ? config_.fault_seed
-                                                : util::default_fault_seed());
+  const std::uint64_t uploads_before = block_uploads();
+  const std::uint64_t bytes_before = resident_bytes();
 
-  const std::string trace_path =
-      detail::path_or_env(config_.trace_path, "REPRO_TRACE");
-  std::optional<util::TraceSession> trace_session;
-  if (!trace_path.empty()) trace_session.emplace(trace_path);
-
-  const std::uint64_t uploads_before = shard_.block_uploads();
-  const std::uint64_t bytes_before = shard_.resident_bytes();
-
-  util::Timer batch_timer;
+  const util::Timer batch_timer;
   util::TraceSpan batch_span("cublastp.search_batch", "core");
   if (batch_span.active()) {
     batch_span.arg("queries", static_cast<std::uint64_t>(queries.size()));
     batch_span.arg("db_sequences", static_cast<std::uint64_t>(db_->size()));
     batch_span.arg("db_blocks", static_cast<std::uint64_t>(config_.db_blocks));
     batch_span.arg("engine_workers", config_.engine_workers);
+    batch_span.arg("shards", static_cast<std::uint64_t>(shards_.size()));
   }
 
-  // Cross-query overlap (Fig. 12 generalized): the main thread drives
-  // query q+1's GPU phases while one worker drains query q's engine-free
-  // CPU stage. A single worker keeps the CPU stages in query order, which
-  // is also what the real pipeline's one-CPU-resource model assumes.
-  std::vector<std::unique_ptr<QueryRun>> runs(queries.size());
-  std::vector<std::future<void>> cpu_done(queries.size());
-  {
-    util::ThreadPool cpu_pool(1, "batch-cpu");
-    for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-      runs[qi] = std::make_unique<QueryRun>();
-      util::TraceSpan query_span;
-      if (util::trace_enabled()) {
-        query_span.open("batch.query " + std::to_string(qi), "core");
-        query_span.arg("query_length",
-                       static_cast<std::uint64_t>(queries[qi].size()));
-      }
-      run_gpu_phases(queries[qi], *runs[qi], qi);
-      QueryRun* run = runs[qi].get();
-      cpu_done[qi] = cpu_pool.submit([this, run] { run_cpu_phases(*run); });
-    }
-    for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-      try {
-        cpu_done[qi].get();
-      } catch (...) {
-        // The CPU stage is engine-free and resets its outputs at entry, so
-        // a worker-side failure (an injected fault, an allocation failure)
-        // is retried inline; a second failure propagates to the caller.
-        run_cpu_phases(*runs[qi]);
-      }
-    }
-  }
-
-  for (auto& run : runs)
-    detail::finish_search_report(*run, config_, profiler_,
-                                 /*emit_modeled_trace=*/false);
-
+  // Queries run in input order, so per-query reports are bit-identical to
+  // sequential search() calls. For the model, each shard walks its own
+  // cross-query Fig. 12 pipeline: its GPU chain runs its own blocks, and its
+  // CPU resource runs every query's preparation, the CPU phases of its
+  // blocks, and every query's finalization.
+  std::vector<std::vector<ModeledQuery>> shard_walks(
+      shards_.size(), std::vector<ModeledQuery>(queries.size()));
   batch.reports.reserve(queries.size());
   batch.per_query_wall_seconds.reserve(queries.size());
-  std::vector<ModeledQuery> modeled(queries.size());
   for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-    modeled[qi].prep_s = runs[qi]->prep_s;
-    modeled[qi].finalize_s = runs[qi]->cpu.finalize_s;
-    modeled[qi].blocks = std::move(runs[qi]->cpu.modeled);
-    batch.per_query_wall_seconds.push_back(runs[qi]->wall_seconds);
-    batch.prefilter_sequences += runs[qi]->report.prefilter_sequences;
-    batch.prefilter_survivors += runs[qi]->report.prefilter_survivors;
-    batch.reports.push_back(std::move(runs[qi]->report));
+    util::TraceSpan query_span;
+    if (util::trace_enabled()) {
+      query_span.open("batch.query " + std::to_string(qi), "core");
+      query_span.arg("query_length",
+                     static_cast<std::uint64_t>(queries[qi].size()));
+    }
+    QueryRun run =
+        run_query(queries[qi], {}, qi, /*emit_modeled_trace=*/false);
+    query_span.end();
+
+    auto blocks = run.modeled.blocks.begin();
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      ModeledQuery& walk = shard_walks[s][qi];
+      walk.prep_s = run.modeled.prep_s;
+      walk.finalize_s = run.modeled.finalize_s;
+      const auto owned = static_cast<std::ptrdiff_t>(shards_[s]->num_blocks());
+      walk.blocks.assign(std::make_move_iterator(blocks),
+                         std::make_move_iterator(blocks + owned));
+      blocks += owned;
+    }
+
+    batch.per_query_wall_seconds.push_back(run.wall_seconds);
+    batch.prefilter_sequences += run.report.prefilter_sequences;
+    batch.prefilter_survivors += run.report.prefilter_survivors;
+    batch.reports.push_back(std::move(run.report));
   }
 
-  // leakcheck over the batch: destroy every run (and with it every query's
-  // device buffers) first, then scan. Findings land on the first report —
-  // per-query attribution is impossible once queries overlap.
-  runs.clear();
-  if (shard_.engine().simtcheck_enabled())
+  // leakcheck over the batch: every query's device buffers are gone by
+  // now. Findings land on the first report.
+  if (shards_.front()->engine().simtcheck_enabled())
     simt::device_leak_check(batch.reports[0].hazards, batch_generation);
 
   batch.batch_wall_seconds = batch_timer.seconds();
-  batch.h2d_block_uploads = shard_.block_uploads() - uploads_before;
-  batch.h2d_block_bytes = shard_.resident_bytes() - bytes_before;
+  batch.h2d_block_uploads = block_uploads() - uploads_before;
+  batch.h2d_block_bytes = resident_bytes() - bytes_before;
   batch.db_device_bytes = db_device_bytes();
 
-  batch.modeled_batch_seconds =
-      walk_batch_pipeline(modeled, config_.cpu_threads);
-  // What N one-shot sessions would model: each query runs its own Fig. 12
-  // walk (already in overlapped_total_seconds) and pays the full database
-  // upload, priced by the same PCIe model, minus whatever upload time its
-  // profile already contains.
+  // The modeled fleet makespan: the shards walk concurrently, and the batch
+  // finishes when the slowest one does.
+  for (const auto& walk : shard_walks)
+    batch.modeled_batch_seconds =
+        std::max(batch.modeled_batch_seconds,
+                 walk_batch_pipeline(walk, config_.cpu_threads));
+
+  // What N one-shot single-engine sessions would model: each query runs its
+  // own Fig. 12 walk (already in overlapped_total_seconds) and pays the full
+  // database upload, priced by the same PCIe model, minus whatever upload
+  // time its profile already contains.
+  const simt::Engine& cost_engine = shards_.front()->engine();
   double full_upload_ms = 0.0;
-  for (std::size_t bi = 0; bi < shard_.num_blocks(); ++bi) {
-    const auto [begin, end] = shard_.block_range(bi);
-    const std::uint64_t block_bytes =
-        db_->offsets()[end] - db_->offsets()[begin] +
-        (end - begin + 1) * sizeof(std::uint32_t);
-    full_upload_ms += shard_.engine().cost_model().transfer_ms(
-        shard_.engine().spec(), block_bytes);
+  for (const auto& shard : shards_) {
+    for (std::size_t bi = 0; bi < shard->num_blocks(); ++bi) {
+      const auto [begin, end] = shard->block_range(bi);
+      const std::uint64_t block_bytes =
+          db_->offsets()[end] - db_->offsets()[begin] +
+          (end - begin + 1) * sizeof(std::uint32_t);
+      full_upload_ms +=
+          cost_engine.cost_model().transfer_ms(cost_engine.spec(), block_bytes);
+    }
   }
   for (const auto& report : batch.reports)
     batch.modeled_sequential_seconds +=
         report.overlapped_total_seconds +
-        (full_upload_ms - detail::kernel_ms(report.profile, "h2d_block")) / 1e3;
+        (full_upload_ms - kernel_ms(report.profile, "h2d_block")) / 1e3;
 
   if (batch_span.active()) {
     batch_span.arg("h2d_block_bytes", batch.h2d_block_bytes);
@@ -343,13 +498,18 @@ BatchReport SearchSession::search_batch(
   registry.counter("core.batch_queries").add(queries.size());
   registry.histogram("core.batch_wall_seconds")
       .observe(batch.batch_wall_seconds);
-  detail::export_metrics_if_configured(config_);
+  export_metrics_if_configured(config_);
   export_profile();
   return batch;
 }
 
-void SearchSession::export_profile() const {
-  detail::export_profile_if_configured(config_, profiler_);
+BatchReport SearchSession::search_all_vs_all(std::size_t limit) {
+  std::size_t count = db_->size();
+  if (limit != 0 && limit < count) count = limit;
+  std::vector<std::span<const std::uint8_t>> queries;
+  queries.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) queries.push_back(db_->residues(i));
+  return search_batch(queries);
 }
 
 }  // namespace repro::core

@@ -1,27 +1,36 @@
-// A long-lived search session: the engine and the device-resident database
-// survive across queries (DESIGN.md §12).
+// A long-lived search session over a fleet of K modeled GPUs (DESIGN.md
+// §12/§17): the engines and the device-resident database survive across
+// queries, and everything runs on the calling thread.
 //
 // CuBlastp::search pays the full setup cost on every call — a fresh
 // simt::Engine and a full database upload over the modeled PCIe link. A
 // SearchSession is constructed once from a Config and a database, owns the
-// engine and the BlockResidency (each block uploaded exactly once, lazily,
-// inside the first search that touches it), and answers any number of
-// queries against them:
+// engines and the block residency (each block uploaded exactly once,
+// lazily, inside the first search that touches it), and answers any number
+// of queries against them:
 //
-//   core::SearchSession session(config, db);
+//   core::SearchSession session(config, db);     // config.shards = K
 //   auto r1 = session.search(query1);            // uploads the database
 //   auto r2 = session.search(query2);            // reuses the device image
-//   auto batch = session.search_batch(queries);  // cross-query overlap
+//   auto batch = session.search_batch(queries);  // modeled cross-query overlap
+//   auto all = session.search_all_vs_all();      // every DB sequence as query
 //
-// search_batch additionally overlaps query q+1's GPU phases with query q's
-// CPU gapped/traceback stage (the paper's Fig. 12 overlap generalized
-// across queries): the engine-free CPU stage of each query drains on a
-// worker thread while the main thread drives the next query's kernels.
-// Results are bit-identical to sequential search() calls — same alignments,
-// same counters, same per-kernel work — whatever the worker count.
+// The database's block split is partitioned contiguously across K =
+// Config::shards EngineShards (clamped to [1, blocks]), each owning its own
+// engine and the residency of its slice. A query is prepared once over the
+// whole database, so every shard derives the same cutoffs and e-values;
+// then each shard's GPU half runs in shard order, the CPU half (gapped
+// extension + traceback) runs block by block in global block order, and
+// finalization ranks the merged alignments. Alignments, counters and
+// per-block ladder outcomes are bit-identical at every K.
+//
+// A batch runs its queries one after another. The cross-query overlap of
+// Fig. 12 is modeled, not run on host threads: the batch makespan is the
+// slowest shard's walk_batch_pipeline over the per-block costs.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -37,18 +46,14 @@
 
 namespace repro::core {
 
-namespace detail {
-struct QueryRun;  // per-query in-flight state (session_detail.hpp)
-}  // namespace detail
-
 /// Aggregate result of SearchSession::search_batch: the per-query reports
 /// plus what the batch amortized (database residency) and overlapped
 /// (modeled cross-query pipeline makespan vs N independent searches).
 struct BatchReport {
   std::vector<SearchReport> reports;  ///< one per query, in input order
 
-  /// Wall seconds from each query's GPU-phase start to the end of its CPU
-  /// stage (overlap makes these overlap each other).
+  /// Wall seconds of each query, from its preparation to the end of its
+  /// finalization (queries run one after another).
   std::vector<double> per_query_wall_seconds;
   double batch_wall_seconds = 0.0;  ///< whole-batch wall clock
 
@@ -96,8 +101,7 @@ struct BatchReport {
                : 0.0;
   }
 
-  /// Engine shards the fleet that produced this batch ran (1 for a
-  /// SearchSession; ShardedSession stamps its fleet size). Schema v4.
+  /// Engine shards of the session that produced this batch. Schema v4.
   std::size_t shards = 1;
 
   /// One machine-readable document for the whole batch (schema
@@ -110,64 +114,70 @@ struct BatchReport {
 class SearchSession {
  public:
   /// Validates and normalizes the config (same contract as CuBlastp's
-  /// constructor) and fixes the database block split. Nothing is uploaded
-  /// yet: each block's H2D transfer happens inside the first search that
-  /// touches it, so the cost lands in that search's trace and profile.
+  /// constructor), partitions the database's block split contiguously
+  /// across `config.shards` shards (clamped to [1, blocks]; shard s owns
+  /// blocks [s*B/K, (s+1)*B/K)), and builds one EngineShard per slice.
+  /// Nothing is uploaded yet: each block's H2D transfer happens inside the
+  /// first search that touches it, so the cost lands in that search's
+  /// trace and profile.
   SearchSession(Config config, const bio::SequenceDatabase& db);
 
   SearchSession(const SearchSession&) = delete;
   SearchSession& operator=(const SearchSession&) = delete;
 
   /// One query against the resident database. Behaves exactly like
-  /// CuBlastp::search except that engine and database residency persist:
+  /// CuBlastp::search except that engines and database residency persist:
   /// the first call uploads the database, later calls reuse it (their
-  /// reports carry no h2d_block time and a warm read-only cache).
+  /// reports carry no h2d_block time and a warm read-only cache). The
+  /// report carries one ShardSummary per shard in its v4 `shards` section.
   ///
   /// `cancel` (empty by default) is polled cooperatively at every pipeline
   /// stage boundary — before each block's degradation ladder, between the
   /// ladder's rungs, before each block's CPU stage, and before
-  /// finalization — and its root flag is installed on the engine so an
-  /// in-flight launch skips its remaining shards. A stopped query throws
-  /// SearchError{kCancelled} or {kDeadlineExceeded}; device buffers unwind
-  /// through their RAII owners (nothing leaks), and the resident database
-  /// image stays valid for the next query. An empty token (or one that
-  /// never fires) leaves results bit-identical to the token-less call.
+  /// finalization — and its root flag is installed on each shard's engine
+  /// so an in-flight launch skips its remaining work. A stopped query
+  /// throws SearchError{kCancelled} or {kDeadlineExceeded}; device buffers
+  /// unwind through their RAII owners (nothing leaks), and the resident
+  /// database image stays valid for the next query. An empty token (or one
+  /// that never fires) leaves results bit-identical to the token-less call.
   [[nodiscard]] SearchReport search(std::span<const std::uint8_t> query,
                                     const CancellationToken& cancel = {});
 
-  /// Many queries with cross-query overlap: query q's engine-free CPU
-  /// stage (gapped extension + traceback + finalize) runs on a worker
-  /// thread while the main thread drives query q+1's GPU phases. Per-query
-  /// results are bit-identical to sequential search() calls; the injected
-  /// fault schedule (Config::fault_schedule), if any, is installed once
-  /// around the whole batch.
+  /// Many queries in input order. Per-query reports are bit-identical to
+  /// sequential search() calls; BatchReport::modeled_batch_seconds is the
+  /// slowest shard's cross-query pipeline walk. The injected fault
+  /// schedule (Config::fault_schedule), if any, is installed once around
+  /// the whole batch.
   [[nodiscard]] BatchReport search_batch(
       std::span<const std::span<const std::uint8_t>> queries);
 
+  /// All-vs-all batch mode: every database sequence (the first `limit`
+  /// when nonzero) is searched as a query against the whole resident
+  /// database through search_batch.
+  [[nodiscard]] BatchReport search_all_vs_all(std::size_t limit = 0);
+
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] const bio::SequenceDatabase& db() const { return *db_; }
-  [[nodiscard]] const simt::Engine& engine() const { return shard_.engine(); }
-  [[nodiscard]] const EngineShard& shard() const { return shard_; }
+  [[nodiscard]] std::size_t num_shards() const { return shards_.size(); }
+  [[nodiscard]] const EngineShard& shard(std::size_t s) const {
+    return *shards_[s];
+  }
 
-  /// h2d_block bytes uploaded so far; after any fault-free search this
-  /// equals db_device_bytes() and never grows again.
-  [[nodiscard]] std::uint64_t resident_bytes() const {
-    return shard_.resident_bytes();
-  }
-  /// Block uploads so far (fault-free: exactly one per block, ever).
-  [[nodiscard]] std::uint64_t block_uploads() const {
-    return shard_.block_uploads();
-  }
+  /// h2d_block bytes uploaded so far, summed over the shards; after any
+  /// fault-free search this equals db_device_bytes() and never grows again.
+  [[nodiscard]] std::uint64_t resident_bytes() const;
+  /// Block uploads so far, summed over the shards (fault-free: exactly one
+  /// per block, ever).
+  [[nodiscard]] std::uint64_t block_uploads() const;
   /// Size of the full database device image — what every one-shot search
-  /// pays on the modeled PCIe link before its first kernel.
-  [[nodiscard]] std::uint64_t db_device_bytes() const {
-    return shard_.db_device_bytes();
-  }
+  /// pays on the modeled PCIe link before its first kernel. The partition
+  /// covers every block once, so the shard sum equals one engine's image.
+  [[nodiscard]] std::uint64_t db_device_bytes() const;
 
   /// The session's continuous profiler: every finished query's per-kernel
-  /// ProfileRegistry delta is folded in (always on — see DESIGN.md §16).
-  /// The service layer reads it for status snapshots; tests and the CLI
-  /// read it for the Fig. 19-style table.
+  /// ProfileRegistry delta, summed over shards, is folded in (always on —
+  /// see DESIGN.md §16). The service layer reads it for status snapshots;
+  /// tests and the CLI read it for the Fig. 19-style table.
   [[nodiscard]] const simt::prof::ContinuousProfiler& profiler() const {
     return profiler_;
   }
@@ -186,22 +196,19 @@ class SearchSession {
   std::uint64_t leak_check(simt::HazardReport& sink) const;
 
  private:
-  /// GPU half of one query: preparation, then the shard's h2d_query
-  /// upload and every block through the degradation ladder. Touches the
-  /// engine; must run on the session's main thread, one query at a time.
-  /// Polls the run's cancellation token at block boundaries.
-  void run_gpu_phases(std::span<const std::uint8_t> query,
-                      detail::QueryRun& run, std::size_t query_index);
-  /// CPU half: gapped extension + traceback per block, then finalize.
-  /// Engine-free and rerun-safe (outputs reset at entry), so the batch
-  /// path can run it on a worker thread and retry inline on failure.
-  void run_cpu_phases(detail::QueryRun& run);
+  struct QueryRun;  // one finished query (search_session.cpp)
+
+  /// One query end to end: preparation, every shard's GPU half in shard
+  /// order, the CPU half block by block in global order, finalization,
+  /// and the assembled report. The QueryContext (and with it the query's
+  /// device buffers) is gone when this returns.
+  QueryRun run_query(std::span<const std::uint8_t> query,
+                     const CancellationToken& cancel, std::size_t query_index,
+                     bool emit_modeled_trace);
 
   Config config_;
   const bio::SequenceDatabase* db_;
-  /// The session *is* the K=1 fleet: one shard owning every block
-  /// (DESIGN.md §17). Engine and residency live inside it.
-  EngineShard shard_;
+  std::vector<std::unique_ptr<EngineShard>> shards_;
   simt::prof::ContinuousProfiler profiler_;
   /// Device generation at construction: the floor for leak_check().
   std::uint64_t session_generation_ = 0;

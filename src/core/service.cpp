@@ -8,7 +8,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <filesystem>
 #include <fstream>
@@ -31,32 +30,17 @@ namespace repro::core {
 
 namespace {
 
-std::string config_path_or_env(const std::string& configured,
-                               const char* env) {
-  if (!configured.empty()) return configured;
-  const char* value = std::getenv(env);
-  return value != nullptr ? std::string(value) : std::string();
-}
-
 /// Maps a terminal RequestStatus onto the metrics/trace vocabulary and the
 /// SearchReport::status field (shared spelling with report.cpp's v3 docs).
 const char* report_status_label(RequestStatus s) {
   return request_status_name(s);
 }
 
-/// ServiceConfig::shards (when positive) overrides Config::shards before
-/// the fleet is built — the service-level knob wins over the engine-level
-/// default (DESIGN.md §17).
-Config apply_shard_override(Config config, const ServiceConfig& service) {
-  if (service.shards > 0) config.shards = service.shards;
-  return config;
-}
-
 }  // namespace
 
 SearchService::SearchService(Config config, const bio::SequenceDatabase& db,
                              ServiceConfig service_config)
-    : session_(apply_shard_override(std::move(config), service_config), db),
+    : session_(std::move(config), db),
       service_config_(service_config) {
   service_config_.queue_capacity =
       std::max<std::size_t>(1, service_config_.queue_capacity);
@@ -72,7 +56,7 @@ SearchService::SearchService(Config config, const bio::SequenceDatabase& db,
   // lands on one timeline (TraceSession is passive when an outer owner —
   // e.g. the CLI — already started one).
   const std::string trace_path =
-      config_path_or_env(session_.config().trace_path, "REPRO_TRACE");
+      path_or_env(session_.config().trace_path, "REPRO_TRACE");
   if (!trace_path.empty())
     trace_session_ = std::make_unique<util::TraceSession>(trace_path);
 
@@ -88,7 +72,7 @@ SearchService::SearchService(Config config, const bio::SequenceDatabase& db,
   }
 
   // Structured JSONL event log (util/log.hpp).
-  const std::string event_log_path = config_path_or_env(
+  const std::string event_log_path = path_or_env(
       service_config_.event_log_path, "REPRO_EVENT_LOG");
   if (!event_log_path.empty()) {
     util::log::open(event_log_path);
@@ -268,7 +252,7 @@ void SearchService::drain() {
     // Flush failures (bad extension, unwritable path) must not abort the
     // drain — it runs from the destructor — so report and keep flushing
     // the remaining surfaces.
-    const std::string metrics_path = config_path_or_env(
+    const std::string metrics_path = path_or_env(
         session_.config().metrics_path, "REPRO_METRICS");
     try {
       if (!metrics_path.empty())

@@ -1,8 +1,8 @@
-// SearchService: a long-running front-end around a ShardedSession fleet
-// (DESIGN.md §14/§17) — admission control, priorities, deadlines,
-// cooperative cancellation, transient-fault retries, and a drain/shutdown
-// protocol. With one shard (the default) the owned fleet is exactly the
-// old single-engine SearchSession layout.
+// SearchService: a long-running front-end around one SearchSession
+// (DESIGN.md §14) — admission control, priorities, deadlines, cooperative
+// cancellation, transient-fault retries, and a drain/shutdown protocol.
+// The session runs Config::shards engine shards (DESIGN.md §17), like every
+// other front end.
 //
 // A session answers queries for whoever calls it; a SearchService
 // decides *whether* and *when* to answer. Requests enter a bounded
@@ -61,7 +61,6 @@
 #include "core/cancellation.hpp"
 #include "core/config.hpp"
 #include "core/search_session.hpp"
-#include "core/sharded_session.hpp"
 #include "simt/simtcheck.hpp"
 #include "util/svccheck.hpp"
 #include "util/trace.hpp"
@@ -97,13 +96,6 @@ struct ServiceConfig {
   /// queue has room — one flood of batch work cannot starve interactive
   /// admission.
   std::size_t per_priority_limit = 0;
-
-  /// Engine shards of the owned fleet (DESIGN.md §17). 0 = inherit
-  /// Config::shards (whose default of 1 is the single-engine layout); a
-  /// positive value overrides it. Clamped to the database block count by
-  /// the session. Results are bit-identical at every shard count; a shard
-  /// fault degrades through the normal ladder inside the owning shard.
-  std::size_t shards = 0;
 
   /// Retries for transient device failures (allocation/transfer). 0
   /// disables retrying.
@@ -264,7 +256,7 @@ struct ServiceStatus {
 /// result is bit-identical across runs and thread schedules.
 [[nodiscard]] simt::HazardReport svccheck_snapshot();
 
-/// The long-running front-end. One worker thread owns the session fleet;
+/// The long-running front-end. One worker thread owns the session;
 /// submit() is thread-safe and non-blocking. Destruction drains: queued
 /// and in-flight work finishes (honouring deadlines/cancellation), then
 /// the worker exits.
@@ -316,7 +308,7 @@ class SearchService {
 
   [[nodiscard]] ServiceStats stats() const;
   [[nodiscard]] const Config& config() const { return session_.config(); }
-  /// Engine shards the owned fleet runs (after clamping).
+  /// Engine shards the owned session runs (after clamping).
   [[nodiscard]] std::size_t num_shards() const {
     return session_.num_shards();
   }
@@ -362,9 +354,8 @@ class SearchService {
   /// spins on clock reads (deterministic); on the wall clock it sleeps.
   static void backoff_wait(double ms);
 
-  /// The owned scatter–gather fleet (one shard by default — exactly the
-  /// old single-engine session).
-  ShardedSession session_;
+  /// The owned session (Config::shards engine shards; one by default).
+  SearchSession session_;
   ServiceConfig service_config_;
 
   // CheckedMutex + condition_variable_any: plain mutex semantics plus

@@ -1,18 +1,15 @@
 // EngineShard: one modeled GPU's worth of the search fleet (DESIGN.md §17).
 //
-// A shard owns exactly the per-device state the single-engine SearchSession
-// used to hold inline — a simt::Engine, the device residency of its
-// contiguous database-block slice, the bin grid every block attempt
-// re-arms, and the per-query pre-filter device table — and runs the GPU
-// half of a query over its blocks: the h2d_query upload, the per-query
-// filter table, and every owned block through the degradation ladder. It
-// holds no query-global state: cutoffs and thresholds come from the
-// QueryContext the caller built over the *aggregate* search space
-// (bio::SearchSpace), which is what makes K shards' merged results
-// bit-identical to one engine's.
-//
-//   SearchSession  = one EngineShard covering every block (the K=1 case)
-//   ShardedSession = K EngineShards + scatter–gather (sharded_session.hpp)
+// A shard owns the per-device state of one modeled GPU — a simt::Engine,
+// the device residency of its contiguous database-block slice, the bin grid
+// every block attempt re-arms, and the per-query pre-filter device table —
+// and runs the GPU half of a query over its blocks: the h2d_query upload,
+// the per-query filter table, and every owned block through the
+// degradation ladder. It holds no query-global state: cutoffs and
+// thresholds come from the QueryContext the session built over the whole
+// database, which is what makes K shards' merged results bit-identical to
+// one engine's. A core::SearchSession owns K of them (K=1 by default) and
+// runs them in shard order on its calling thread.
 #pragma once
 
 #include <cstdint>
@@ -81,9 +78,7 @@ class EngineShard {
   /// unfiltered path — never drops results), then every owned block
   /// through the degradation ladder with the per-shard bin-capacity
   /// adaptation. Polls `cancel` at block boundaries and installs its root
-  /// flag on the engine for launch-level cancellation. Thread-safe with
-  /// respect to *other* shards (each owns its engine and device blocks);
-  /// one query at a time per shard.
+  /// flag on the engine for launch-level cancellation. One query at a time.
   [[nodiscard]] ShardGpuResult run_gpu_blocks(const QueryContext& ctx,
                                               const CancellationToken& cancel);
 

@@ -66,10 +66,7 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
       tasks_.pop();
       ++in_flight_;
     }
-    {
-      TraceSpan span(task_span_name_, "pool");
-      task();
-    }
+    task();
     {
       std::lock_guard lock(mutex_);
       --in_flight_;
@@ -79,8 +76,14 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
 }
 
 std::future<void> ThreadPool::submit(std::function<void()> task) {
-  auto packaged =
-      std::make_shared<std::packaged_task<void()>>(std::move(task));
+  // The task span opens and closes inside the packaged task, so it is
+  // recorded before the future becomes ready: a caller that joins the
+  // future may end its trace or flight-record query right away.
+  auto packaged = std::make_shared<std::packaged_task<void()>>(
+      [this, task = std::move(task)] {
+        TraceSpan span(task_span_name_, "pool");
+        task();
+      });
   auto future = packaged->get_future();
   {
     std::lock_guard lock(mutex_);

@@ -2,7 +2,8 @@
 // bit-identical to N sequential CuBlastp::search calls — same alignments,
 // same work counters, same address-independent per-kernel stats — for any
 // engine worker count, with and without an injected fault schedule, and
-// with the simtcheck hazard analyzer reporting zero hazards. The session's
+// with the simtcheck hazard analyzer reporting zero hazards. Under the
+// virtual clock a batch's CPU-stage times repeat exactly. The session's
 // database residency is also pinned here: each block uploads exactly once
 // per session, however many queries run.
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "core/cublastp.hpp"
 #include "core/search_session.hpp"
 #include "simt/metrics.hpp"
+#include "util/timer.hpp"
 
 namespace repro {
 namespace {
@@ -150,6 +152,37 @@ TEST_P(BatchEquivalence, SessionSearchIdenticalToOneShotSearch) {
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, BatchEquivalence,
                          ::testing::Values(1, 4));
 
+TEST(BatchEquivalence, VirtualClockCpuTimesRepeat) {
+  // Under the virtual clock a CPU-stage time is a count of clock reads. With
+  // every stage of a batch on the calling thread, the same batch in a fresh
+  // session must report the same per-query CPU times, at every shard count.
+  const auto w = make_workload(4);
+  for (const std::size_t shards : {1u, 4u}) {
+    SCOPED_TRACE("K=" + std::to_string(shards));
+    auto config = base_config();
+    config.db_blocks = 4;
+    config.shards = shards;
+    auto run_batch = [&] {
+      core::SearchSession session(config, w.db);
+      const util::VirtualClockScope virtual_clock;
+      return session.search_batch(spans_of(w));
+    };
+    const auto first = run_batch();
+    const auto second = run_batch();
+    ASSERT_EQ(first.reports.size(), w.queries.size());
+    ASSERT_EQ(second.reports.size(), w.queries.size());
+    for (std::size_t i = 0; i < w.queries.size(); ++i) {
+      SCOPED_TRACE("query " + std::to_string(i));
+      EXPECT_EQ(first.reports[i].gapped_seconds,
+                second.reports[i].gapped_seconds);
+      EXPECT_EQ(first.reports[i].traceback_seconds,
+                second.reports[i].traceback_seconds);
+      EXPECT_EQ(first.reports[i].other_seconds,
+                second.reports[i].other_seconds);
+    }
+  }
+}
+
 TEST(BatchEquivalenceFaults, AlignmentsIdenticalUnderInjectedFaults) {
   // With a probabilistic fault schedule under a fixed nonzero seed, the
   // degradation ladder may take different paths in batch vs sequential
@@ -165,20 +198,25 @@ TEST(BatchEquivalenceFaults, AlignmentsIdenticalUnderInjectedFaults) {
       "core.bin_overflow:prob=0.25;simt.launch:prob=0.05";
   config.fault_seed = 1234;
 
-  std::vector<core::SearchReport> sequential;
-  for (const auto& q : w.queries)
-    sequential.push_back(core::CuBlastp(config).search(q, w.db));
+  // One engine, and a fleet (K=4, clamped to the three blocks).
+  for (const std::size_t shards : {1u, 4u}) {
+    SCOPED_TRACE("K=" + std::to_string(shards));
+    config.shards = shards;
+    std::vector<core::SearchReport> sequential;
+    for (const auto& q : w.queries)
+      sequential.push_back(core::CuBlastp(config).search(q, w.db));
 
-  core::SearchSession session(config, w.db);
-  const auto batch = session.search_batch(spans_of(w));
+    core::SearchSession session(config, w.db);
+    const auto batch = session.search_batch(spans_of(w));
 
-  ASSERT_EQ(batch.reports.size(), w.queries.size());
-  for (std::size_t i = 0; i < w.queries.size(); ++i) {
-    SCOPED_TRACE("query " + std::to_string(i));
-    EXPECT_EQ(sequential[i].result.alignments,
-              batch.reports[i].result.alignments);
-    EXPECT_EQ(sequential[i].result.counters.gapped_extensions,
-              batch.reports[i].result.counters.gapped_extensions);
+    ASSERT_EQ(batch.reports.size(), w.queries.size());
+    for (std::size_t i = 0; i < w.queries.size(); ++i) {
+      SCOPED_TRACE("query " + std::to_string(i));
+      EXPECT_EQ(sequential[i].result.alignments,
+                batch.reports[i].result.alignments);
+      EXPECT_EQ(sequential[i].result.counters.gapped_extensions,
+                batch.reports[i].result.counters.gapped_extensions);
+    }
   }
 }
 
@@ -216,8 +254,8 @@ TEST(BatchResidency, DatabaseUploadedExactlyOncePerSession) {
 
   // The engine's own profile agrees: the h2d_block pseudo-kernel saw
   // exactly one database image's worth of bytes.
-  ASSERT_TRUE(session.engine().profile().has("h2d_block"));
-  EXPECT_EQ(session.engine().profile().at("h2d_block").st_bytes_requested,
+  ASSERT_TRUE(session.shard(0).engine().profile().has("h2d_block"));
+  EXPECT_EQ(session.shard(0).engine().profile().at("h2d_block").st_bytes_requested,
             session.db_device_bytes());
 
   // More work, same residency: a second batch and a single search reuse
@@ -228,7 +266,7 @@ TEST(BatchResidency, DatabaseUploadedExactlyOncePerSession) {
   EXPECT_EQ(again.h2d_block_uploads, 0u);
   EXPECT_EQ(session.block_uploads(), config.db_blocks);
   EXPECT_EQ(session.resident_bytes(), session.db_device_bytes());
-  EXPECT_EQ(session.engine().profile().at("h2d_block").st_bytes_requested,
+  EXPECT_EQ(session.shard(0).engine().profile().at("h2d_block").st_bytes_requested,
             session.db_device_bytes());
 }
 

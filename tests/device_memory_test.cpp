@@ -16,7 +16,6 @@
 
 #include "bio/generator.hpp"
 #include "core/search_session.hpp"
-#include "core/sharded_session.hpp"
 #include "simt/device_buffer.hpp"
 #include "util/fault.hpp"
 
@@ -126,7 +125,7 @@ std::vector<Outcome> run_searches(const Workload& w) {
           outcome_of(core::SearchSession(config, w.db).search(w.query)));
       config.shards = 2;
       outcomes.push_back(
-          outcome_of(core::ShardedSession(config, w.db).search(w.query)));
+          outcome_of(core::SearchSession(config, w.db).search(w.query)));
     }
   }
   util::FaultScope faults("core.bin_overflow:nth=1", 7);

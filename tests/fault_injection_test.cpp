@@ -272,7 +272,7 @@ TEST_F(ChaosEquivalence, GridAllocationFaultAbsorbedByCacheOffRetry) {
 
   // The cache-off retry allocated the grid itself, and nothing half-built
   // stayed behind: the session holds what a fault-free one does.
-  const core::BinGrid* grid = session.shard().bin_grid();
+  const core::BinGrid* grid = session.shard(0).bin_grid();
   ASSERT_NE(grid, nullptr);
   EXPECT_EQ(simt::device_allocation_stats().resident_allocations -
                 base_resident,
@@ -280,7 +280,7 @@ TEST_F(ChaosEquivalence, GridAllocationFaultAbsorbedByCacheOffRetry) {
   const std::uint64_t* slots = grid->slots.data();
   const auto later = session.search(w.query);
   EXPECT_EQ(later.result.alignments, reference.result.alignments);
-  EXPECT_EQ(session.shard().bin_grid(), grid);
+  EXPECT_EQ(session.shard(0).bin_grid(), grid);
   EXPECT_EQ(grid->slots.data(), slots);
 }
 

@@ -14,7 +14,6 @@
 
 #include "bio/generator.hpp"
 #include "core/search_session.hpp"
-#include "core/sharded_session.hpp"
 #include "simt/simtcheck.hpp"
 #include "util/fault.hpp"
 
@@ -81,13 +80,13 @@ TEST(LeakCheck, SessionAllocatesOneBinGridAndFreesItWithTheSession) {
   const simt::DeviceAllocationStats before = simt::device_allocation_stats();
   {
     core::SearchSession session(config, w.db);
-    EXPECT_EQ(session.shard().bin_grid(), nullptr);
+    EXPECT_EQ(session.shard(0).bin_grid(), nullptr);
 
     const core::SearchReport first = session.search(w.queries[0]);
     EXPECT_EQ(first.bin_overflow_retries, 0u);
     EXPECT_EQ(first.hazards.count(simt::HazardKind::kDeviceLeak), 0u)
         << first.hazards.summary();
-    const core::BinGrid* grid = session.shard().bin_grid();
+    const core::BinGrid* grid = session.shard(0).bin_grid();
     ASSERT_NE(grid, nullptr);
     const std::uint64_t* slots = grid->slots.data();
     EXPECT_EQ(grid->slots.size(),
@@ -106,7 +105,7 @@ TEST(LeakCheck, SessionAllocatesOneBinGridAndFreesItWithTheSession) {
       const core::SearchReport report = session.search(w.queries[q]);
       EXPECT_EQ(report.hazards.count(simt::HazardKind::kDeviceLeak), 0u)
           << report.hazards.summary();
-      ASSERT_EQ(session.shard().bin_grid(), grid);
+      ASSERT_EQ(session.shard(0).bin_grid(), grid);
       EXPECT_EQ(grid->slots.data(), slots) << "query " << q;
       const simt::DeviceAllocationStats now = simt::device_allocation_stats();
       EXPECT_EQ(now.resident_allocations, resident.resident_allocations);
@@ -123,15 +122,15 @@ TEST(LeakCheck, SessionAllocatesOneBinGridAndFreesItWithTheSession) {
 }
 
 TEST(ResidentBinGrid, EveryShardKeepsItsOwnGrid) {
-  // Fleet shards run on pool threads, so each shard's grid is allocated
-  // (and tagged resident) on whichever pool thread ran its first search.
+  // Each shard allocates (and tags resident) a grid of its own in its
+  // first search, and keeps it for the next.
   const auto w = make_workload();
   auto config = base_config();
   config.shards = 3;
   config.simtcheck = true;
   const simt::DeviceAllocationStats before = simt::device_allocation_stats();
   {
-    core::ShardedSession fleet(config, w.db);
+    core::SearchSession fleet(config, w.db);
     const core::SearchReport first = fleet.search(w.queries[0]);
     EXPECT_EQ(first.hazards.total, 0u) << first.hazards.summary();
     std::vector<const std::uint64_t*> slots;
@@ -165,7 +164,7 @@ TEST(ResidentBinGrid, OverflowGrowsTheGridWithoutChangingLaterSearches) {
     EXPECT_EQ(forced.bin_overflow_retries, 1u);
     EXPECT_EQ(forced.faults_encountered, 1u);
   }
-  const core::BinGrid* grid = session.shard().bin_grid();
+  const core::BinGrid* grid = session.shard(0).bin_grid();
   ASSERT_NE(grid, nullptr);
   const auto capacity =
       static_cast<std::uint32_t>(session.config().bin_capacity);
@@ -176,7 +175,7 @@ TEST(ResidentBinGrid, OverflowGrowsTheGridWithoutChangingLaterSearches) {
   // The next query starts again at the configured capacity in the larger
   // grid, and reports what it reports on a fresh session.
   const core::SearchReport next = session.search(w.queries[1]);
-  EXPECT_EQ(session.shard().bin_grid()->slots.size(), grid->slots.size());
+  EXPECT_EQ(session.shard(0).bin_grid()->slots.size(), grid->slots.size());
   const core::SearchReport fresh =
       core::SearchSession(config, w.db).search(w.queries[1]);
   EXPECT_EQ(next.result.alignments, fresh.result.alignments);

@@ -1,6 +1,6 @@
-// ShardEquivalence: a ShardedSession fleet must report bit-identically to
-// the single-engine SearchSession for every shard count — same alignments
-// (scores, bit scores, e-values from the aggregate-search-space
+// ShardEquivalence: a SearchSession over K engine shards must report
+// bit-identically to the same session class at K=1 — same alignments
+// (scores, bit scores, e-values from the whole-database e-value
 // calculator), same work counters, same per-block degradation and backend
 // vectors — across K ∈ {1, 2, 4}, engine worker counts, and every
 // pre-filter mode. Fault-injection cases pin the isolation story: one
@@ -19,7 +19,6 @@
 
 #include "bio/generator.hpp"
 #include "core/search_session.hpp"
-#include "core/sharded_session.hpp"
 #include "simt/metrics.hpp"
 
 namespace repro {
@@ -184,7 +183,7 @@ TEST_P(ShardEquivalence, FleetSearchIdenticalToSingleEngine) {
 
   core::SearchSession single(base_config(1, c.engine_workers, c.prefilter),
                              w.db);
-  core::ShardedSession fleet(
+  core::SearchSession fleet(
       base_config(c.shards, c.engine_workers, c.prefilter), w.db);
   ASSERT_EQ(fleet.num_shards(), c.shards);
 
@@ -196,7 +195,7 @@ TEST_P(ShardEquivalence, FleetSearchIdenticalToSingleEngine) {
     const auto report = fleet.search(w.query);
     expect_reports_equal(baseline, report);
     expect_shard_topology(report, c.shards, /*db_blocks=*/4);
-    // The single-engine report carries the degenerate one-shard summary.
+    // The K=1 report carries the degenerate one-shard summary.
     expect_shard_topology(baseline, 1, /*db_blocks=*/4);
   }
 
@@ -213,7 +212,7 @@ TEST_P(ShardEquivalence, FleetBatchIdenticalToSingleEngineBatch) {
 
   core::SearchSession single(base_config(1, c.engine_workers, c.prefilter),
                              w.db);
-  core::ShardedSession fleet(
+  core::SearchSession fleet(
       base_config(c.shards, c.engine_workers, c.prefilter), w.db);
 
   const auto baseline = single.search_batch(spans_of(w));
@@ -247,26 +246,27 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ShardTopology, ShardCountClampsToBlockCount) {
   const auto w = make_workload(40, 1);
   auto config = base_config(/*shards=*/16);
-  core::ShardedSession fleet(config, w.db);
+  core::SearchSession fleet(config, w.db);
   EXPECT_EQ(fleet.num_shards(), 4u);  // one block per shard at most
   const auto report = fleet.search(w.query);
   expect_shard_topology(report, 4, /*db_blocks=*/4);
   for (const auto& shard : report.shards) EXPECT_EQ(shard.num_blocks, 1u);
 }
 
-TEST(ShardEquivalenceFaults, OneShardFallsToCpuWhileSiblingsStayFine) {
-  // Two launch faults in a row fail both GPU rungs of global block 0 (the
-  // fault-injected scatter is serialized, so launch order is global block
-  // order at every K): shard 0 serves it from the CPU rung while every
-  // sibling stays on the fine path, and the merged output doesn't change.
+/// Two launch faults in a row fail both GPU rungs of global block 0 (shards
+/// run in order, so launch order is global block order at every K): shard 0
+/// serves it from the CPU rung while its other blocks and every sibling
+/// stay on the fine path, and the merged output doesn't change.
+void expect_one_shard_falls_to_cpu(std::size_t shards) {
+  SCOPED_TRACE("K=" + std::to_string(shards));
   const auto w = make_workload();
-  auto config = base_config(/*shards=*/4);
+  auto config = base_config(shards);
   const auto clean =
-      core::ShardedSession(config, w.db).search(w.query);
+      core::SearchSession(config, w.db).search(w.query);
 
   config.fault_schedule = "simt.launch:every=1,max=2";
   config.fault_seed = 7;
-  core::ShardedSession fleet(config, w.db);
+  core::SearchSession fleet(config, w.db);
   const auto faulty = fleet.search(w.query);
 
   EXPECT_EQ(clean.result.alignments, faulty.result.alignments);
@@ -274,17 +274,24 @@ TEST(ShardEquivalenceFaults, OneShardFallsToCpuWhileSiblingsStayFine) {
             faulty.result.counters.gapped_extensions);
   EXPECT_EQ(faulty.faults_encountered, 2u);
   EXPECT_EQ(faulty.degraded_blocks, 1u);
-  ASSERT_EQ(faulty.shards.size(), 4u);
+  ASSERT_EQ(faulty.shards.size(), shards);
   EXPECT_EQ(faulty.shards[0].degraded_blocks, 1u);
   ASSERT_FALSE(faulty.shards[0].backends.empty());
   EXPECT_EQ(faulty.shards[0].backends[0], core::BlockBackend::kCpu);
-  for (std::size_t s = 1; s < 4; ++s) {
+  for (std::size_t b = 1; b < faulty.shards[0].backends.size(); ++b)
+    EXPECT_EQ(faulty.shards[0].backends[b], core::BlockBackend::kFine);
+  for (std::size_t s = 1; s < shards; ++s) {
     SCOPED_TRACE("shard " + std::to_string(s));
     EXPECT_EQ(faulty.shards[s].degraded_blocks, 0u);
     EXPECT_EQ(faulty.shards[s].retry_attempts, 0u);
     for (const auto backend : faulty.shards[s].backends)
       EXPECT_EQ(backend, core::BlockBackend::kFine);
   }
+}
+
+TEST(ShardEquivalenceFaults, OneShardFallsToCpuWhileSiblingsStayFine) {
+  for (const std::size_t shards : {1u, 2u, 4u})
+    expect_one_shard_falls_to_cpu(shards);
 }
 
 TEST(ShardEquivalenceFaults, PrefilterFaultDegradesOneBlockNotTheFleet) {
@@ -294,11 +301,11 @@ TEST(ShardEquivalenceFaults, PrefilterFaultDegradesOneBlockNotTheFleet) {
   const auto w = make_workload();
   auto config = base_config(/*shards=*/4, /*engine_workers=*/1,
                             core::PrefilterMode::kOn);
-  const auto clean = core::ShardedSession(config, w.db).search(w.query);
+  const auto clean = core::SearchSession(config, w.db).search(w.query);
 
   config.fault_schedule = "core.prefilter:nth=3";  // global block 2's filter
   config.fault_seed = 7;
-  core::ShardedSession fleet(config, w.db);
+  core::SearchSession fleet(config, w.db);
   const auto faulty = fleet.search(w.query);
 
   EXPECT_EQ(clean.result.alignments, faulty.result.alignments);
@@ -318,14 +325,14 @@ TEST(ShardEquivalenceFaults, PrefilterFaultDegradesOneBlockNotTheFleet) {
 
 TEST(ShardEquivalenceHazards, AnalyzersFindNothingInShardedMode) {
   // simtcheck across every shard engine plus the svccheck checkpoint walk
-  // over the scatter/gather path: a clean fleet search reports zero
-  // hazards with a nonzero amount of checked work.
+  // over the fleet path: a clean fleet search reports zero hazards with a
+  // nonzero amount of checked work.
   const auto w = make_workload();
   auto config = base_config(/*shards=*/4, /*engine_workers=*/4);
   config.simtcheck = true;
   config.svccheck = true;
 
-  core::ShardedSession fleet(config, w.db);
+  core::SearchSession fleet(config, w.db);
   const auto report = fleet.search(w.query);
   EXPECT_EQ(report.hazards.total, 0u);
   EXPECT_GT(report.hazards.collectives_checked, 0u);
@@ -337,7 +344,7 @@ TEST(ShardEquivalenceHazards, AnalyzersFindNothingInShardedMode) {
 TEST(ShardAllVsAll, DelegatesToBatchWithDatabaseQueries) {
   const auto w = make_workload(24, 1);
   auto config = base_config(/*shards=*/2);
-  core::ShardedSession fleet(config, w.db);
+  core::SearchSession fleet(config, w.db);
 
   const auto all = fleet.search_all_vs_all(/*limit=*/3);
   ASSERT_EQ(all.reports.size(), 3u);

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "util/fault.hpp"
+#include "util/flight_recorder.hpp"
 #include "util/makespan.hpp"
 #include "util/options.hpp"
 #include "util/rng.hpp"
@@ -270,6 +271,22 @@ TEST(ThreadPool, WorkerFaultPointInjectsIntoShards) {
   EXPECT_THROW(pool.run_shards(4, [](std::size_t) {}),
                util::FaultInjectedError);
   pool.run_shards(4, [](std::size_t) {});  // nth consumed: clean again
+}
+
+TEST(ThreadPool, TaskSpanRecordedBeforeFutureReady) {
+  // A flight-recorded query owner joins its workers' futures and may end
+  // the query right away, so every task span must already be recorded
+  // when submit()'s future becomes ready.
+  auto& recorder = util::FlightRecorder::instance();
+  recorder.configure(4096);
+  recorder.begin_query(1);
+  util::ThreadPool pool(1);
+  for (int i = 0; i < 1000; ++i) {
+    const std::size_t before = recorder.event_count();
+    pool.submit([] {}).get();
+    ASSERT_EQ(recorder.event_count(), before + 1) << "task " << i;
+  }
+  recorder.reset();
 }
 
 TEST(Table, RendersAlignedColumns) {
