@@ -15,6 +15,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <stdexcept>
 #include <type_traits>
@@ -63,11 +64,23 @@ class WarpExec {
         warps_per_block_(warps_per_block),
         grid_blocks_(grid_blocks),
         check_(check) {}
-  // The warp-step counters (vec_ops, active_lane_sum) are kept here and
-  // added to the launch's stats once, when the warp's region ends.
+  // The counters are kept here and added to the launch's stats once, when
+  // the warp's region ends.
   ~WarpExec() {
     stats_->vec_ops += vec_ops_;
     stats_->active_lane_sum += active_lane_sum_;
+    stats_->ld_requests += mem_.ld_requests;
+    stats_->ld_bytes_requested += mem_.ld_bytes_requested;
+    stats_->ld_transactions += mem_.ld_transactions;
+    stats_->st_requests += mem_.st_requests;
+    stats_->st_bytes_requested += mem_.st_bytes_requested;
+    stats_->st_transactions += mem_.st_transactions;
+    stats_->rocache_hits += mem_.rocache_hits;
+    stats_->rocache_misses += mem_.rocache_misses;
+    stats_->shared_ops += mem_.shared_ops;
+    stats_->shared_conflict_passes += mem_.shared_conflict_passes;
+    stats_->atomic_ops += mem_.atomic_ops;
+    stats_->atomic_serial_passes += mem_.atomic_serial_passes;
   }
   WarpExec(const WarpExec&) = delete;
   WarpExec& operator=(const WarpExec&) = delete;
@@ -107,6 +120,18 @@ class WarpExec {
     note_op();
     // Branch-free: votes are data-dependent, so a branch per lane would
     // mispredict about as often as the predicate flips.
+    if (active_ == kFullMask) {
+      // One byte per vote, packed eight at a time: no lane waits on the
+      // previous lane's bit.
+      std::array<std::uint8_t, kWarpSize> votes;
+      for (int lane = 0; lane < kWarpSize; ++lane)
+        votes[static_cast<std::size_t>(lane)] =
+            static_cast<std::uint8_t>(static_cast<bool>(pred(lane)));
+      Mask m = 0;
+      for (int first = 0; first < kWarpSize; first += 8)
+        m |= pack_votes(votes.data() + first) << first;
+      return m;
+    }
     Mask m = 0;
     for_active([&](int lane) {
       m |= static_cast<Mask>(static_cast<bool>(pred(lane))) << lane;
@@ -175,8 +200,8 @@ class WarpExec {
               MemKind kind = MemKind::kGlobal) {
     if (check_ != nullptr) check_global(base, idx, AccessKind::kRead);
     note_op();
-    ++stats_->ld_requests;
-    stats_->ld_bytes_requested += active_bytes<T>();
+    ++mem_.ld_requests;
+    mem_.ld_bytes_requested += active_bytes<T>();
     Sectors sectors;
     for_active([&](int lane) {
       const T* p = base + idx[static_cast<std::size_t>(lane)];
@@ -193,15 +218,15 @@ class WarpExec {
   void scatter(T* base, const LaneArray<I>& idx, const LaneArray<T>& vals) {
     if (check_ != nullptr) check_global(base, idx, AccessKind::kWrite);
     note_op();
-    ++stats_->st_requests;
-    stats_->st_bytes_requested += active_bytes<T>();
+    ++mem_.st_requests;
+    mem_.st_bytes_requested += active_bytes<T>();
     Sectors sectors;
     for_active([&](int lane) {
       T* p = base + idx[static_cast<std::size_t>(lane)];
       *p = vals[static_cast<std::size_t>(lane)];
       sectors.add(reinterpret_cast<std::uintptr_t>(p));
     });
-    stats_->st_transactions += static_cast<std::uint64_t>(sectors.count);
+    mem_.st_transactions += static_cast<std::uint64_t>(sectors.count);
   }
 
   /// Atomic fetch-add on global memory. Colliding addresses within the warp
@@ -216,14 +241,14 @@ class WarpExec {
                          const LaneArray<T>& vals, LaneArray<T>& old) {
     if (check_ != nullptr) check_global(base, idx, AccessKind::kAtomic);
     note_op();
-    ++stats_->atomic_ops;
-    stats_->st_bytes_requested += active_bytes<T>();
+    ++mem_.atomic_ops;
+    mem_.st_bytes_requested += active_bytes<T>();
     Sectors sectors;
     std::uint64_t max_collisions =
         do_atomic_add<true>(base, idx, vals, old, &sectors);
-    stats_->st_transactions += static_cast<std::uint64_t>(sectors.count);
+    mem_.st_transactions += static_cast<std::uint64_t>(sectors.count);
     if (max_collisions > 1)
-      stats_->atomic_serial_passes += max_collisions - 1;
+      mem_.atomic_serial_passes += max_collisions - 1;
   }
 
   // --- shared memory -------------------------------------------------------
@@ -234,7 +259,7 @@ class WarpExec {
     if (check_ != nullptr)
       check_shared(region.data(), region.size(), idx, AccessKind::kRead);
     note_op();
-    ++stats_->shared_ops;
+    ++mem_.shared_ops;
     // Single pass: move the data and tally bank pressure together.
     std::array<std::uint8_t, kWarpSize> bank_load{};
     std::uint8_t worst = 1;
@@ -246,7 +271,7 @@ class WarpExec {
           worst, ++bank_load[static_cast<std::size_t>((addr >> 2) & 31u)]);
       out[static_cast<std::size_t>(lane)] = region[j];
     });
-    if (worst > 1) stats_->shared_conflict_passes += worst - 1;
+    if (worst > 1) mem_.shared_conflict_passes += worst - 1;
   }
 
   template <class T, class I>
@@ -255,7 +280,7 @@ class WarpExec {
     if (check_ != nullptr)
       check_shared(region.data(), region.size(), idx, AccessKind::kWrite);
     note_op();
-    ++stats_->shared_ops;
+    ++mem_.shared_ops;
     std::array<std::uint8_t, kWarpSize> bank_load{};
     std::uint8_t worst = 1;
     for_active([&](int lane) {
@@ -266,7 +291,7 @@ class WarpExec {
           worst, ++bank_load[static_cast<std::size_t>((addr >> 2) & 31u)]);
       region[j] = vals[static_cast<std::size_t>(lane)];
     });
-    if (worst > 1) stats_->shared_conflict_passes += worst - 1;
+    if (worst > 1) mem_.shared_conflict_passes += worst - 1;
   }
 
   /// Atomic fetch-add on shared memory (paper Alg. 2's top[] counters):
@@ -277,12 +302,12 @@ class WarpExec {
     if (check_ != nullptr)
       check_shared(region.data(), region.size(), idx, AccessKind::kAtomic);
     note_op();
-    ++stats_->shared_ops;
-    ++stats_->atomic_ops;
+    ++mem_.shared_ops;
+    ++mem_.atomic_ops;
     std::uint64_t max_collisions =
         do_atomic_add<false>(region.data(), idx, vals, old, nullptr);
     if (max_collisions > 1)
-      stats_->atomic_serial_passes += max_collisions - 1;
+      mem_.atomic_serial_passes += max_collisions - 1;
   }
 
   // --- warp collectives ----------------------------------------------------
@@ -299,6 +324,15 @@ class WarpExec {
     if (check_ != nullptr)
       check_->on_collective(warp_in_block_, active_, width,
                             "window_inclusive_scan");
+    // Integer sums and maxima do not depend on the order they are taken
+    // in, so the one-pass form below returns what the shuffle network does.
+    if constexpr (std::is_integral_v<T>) {
+      if (whole_windows(width)) {
+        scan_whole_windows(vals, width,
+                           [](const T& a, const T& b) { return a + b; });
+        return;
+      }
+    }
     for (int delta = 1; delta < width; delta <<= 1) {
       note_op();
       LaneArray<T> prev = vals;
@@ -319,6 +353,14 @@ class WarpExec {
     if (check_ != nullptr)
       check_->on_collective(warp_in_block_, active_, width,
                             "window_inclusive_max_scan");
+    if constexpr (std::is_integral_v<T>) {
+      if (whole_windows(width)) {
+        scan_whole_windows(vals, width, [](const T& a, const T& b) {
+          return std::max(a, b);
+        });
+        return;
+      }
+    }
     for (int delta = 1; delta < width; delta <<= 1) {
       note_op();
       LaneArray<T> prev = vals;
@@ -483,6 +525,43 @@ class WarpExec {
     return width - 1;
   }
 
+  /// True when every width-lane window is wholly active or wholly idle.
+  [[nodiscard]] bool whole_windows(int width) const {
+    if (active_ == kFullMask) return true;
+    const std::uint64_t ones = (std::uint64_t{1} << width) - 1;
+    // One bit at each window's first lane, widened to the whole window.
+    const Mask firsts = active_ & static_cast<Mask>(kFullMask / ones);
+    return static_cast<Mask>(firsts * ones) == active_;
+  }
+
+  /// A windowed inclusive scan under whole_windows(): one sequential pass
+  /// per active window, charged as the log2(width) steps of the shuffle
+  /// network it stands for.
+  template <class T, class Op>
+  void scan_whole_windows(LaneArray<T>& vals, int width, Op op) {
+    const int steps = std::countr_zero(static_cast<unsigned>(width));
+    vec_ops_ += static_cast<std::uint64_t>(steps);
+    active_lane_sum_ += static_cast<std::uint64_t>(steps) *
+                        static_cast<std::uint64_t>(active_lanes_);
+    for (int first = 0; first < kWarpSize; first += width) {
+      if (((active_ >> first) & 1u) == 0) continue;
+      for (int lane = first + 1; lane < first + width; ++lane)
+        vals[static_cast<std::size_t>(lane)] =
+            op(vals[static_cast<std::size_t>(lane - 1)],
+               vals[static_cast<std::size_t>(lane)]);
+    }
+  }
+
+  /// Eight one-byte votes as the low eight bits of a mask, vote i at bit i.
+  static Mask pack_votes(const std::uint8_t* votes) {
+    static_assert(std::endian::native == std::endian::little);
+    std::uint64_t eight = 0;
+    std::memcpy(&eight, votes, sizeof(eight));
+    // Vote i, at bit 8i, reaches bit 56 + i through the term 2^(56 - 7i);
+    // no other product reaches bits 56..63 or carries into them.
+    return static_cast<Mask>((eight * 0x0102040810204080ull) >> 56);
+  }
+
   /// Bytes an access of one T per active lane requests.
   template <class T>
   [[nodiscard]] std::uint64_t active_bytes() const {
@@ -530,16 +609,17 @@ class WarpExec {
   };
 
   void commit_load_sectors(const Sectors& sectors, MemKind kind) {
+    if (kind != MemKind::kReadOnly || rocache_ == nullptr) {
+      mem_.ld_transactions += static_cast<std::uint64_t>(sectors.count);
+      return;
+    }
     for (int i = 0; i < sectors.count; ++i) {
-      if (kind == MemKind::kReadOnly && rocache_ != nullptr) {
-        if (rocache_->access(sectors.list[static_cast<std::size_t>(i)]
-                             << 5)) {
-          ++stats_->rocache_hits;
-          continue;  // served by the read-only cache: no global transaction
-        }
-        ++stats_->rocache_misses;
+      if (rocache_->access(sectors.list[static_cast<std::size_t>(i)] << 5)) {
+        ++mem_.rocache_hits;
+        continue;  // served by the read-only cache: no global transaction
       }
-      ++stats_->ld_transactions;
+      ++mem_.rocache_misses;
+      ++mem_.ld_transactions;
     }
   }
 
@@ -596,6 +676,21 @@ class WarpExec {
   int active_lanes_ = kWarpSize;  ///< lane_count(active_)
   std::uint64_t vec_ops_ = 0;
   std::uint64_t active_lane_sum_ = 0;
+  /// The memory, shared and atomic counters of KernelStats.
+  struct MemCounters {
+    std::uint64_t ld_requests = 0;
+    std::uint64_t ld_bytes_requested = 0;
+    std::uint64_t ld_transactions = 0;
+    std::uint64_t st_requests = 0;
+    std::uint64_t st_bytes_requested = 0;
+    std::uint64_t st_transactions = 0;
+    std::uint64_t rocache_hits = 0;
+    std::uint64_t rocache_misses = 0;
+    std::uint64_t shared_ops = 0;
+    std::uint64_t shared_conflict_passes = 0;
+    std::uint64_t atomic_ops = 0;
+    std::uint64_t atomic_serial_passes = 0;
+  } mem_;
 
 };
 
