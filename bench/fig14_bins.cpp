@@ -5,6 +5,8 @@
 // bins (smaller segments to sort, more parallelism), but hit detection
 // degrades sharply past 128 bins because the per-warp top[] counters eat
 // shared memory and depress occupancy; 128 bins/warp minimizes the total.
+// Each run also records the exact warp ops of K3 and K4, which the bench
+// gate compares exactly.
 #include <cstdio>
 #include <sstream>
 
@@ -43,6 +45,10 @@ int main(int argc, char** argv) {
     if (!first) runs << ", ";
     first = false;
     runs << "{\"bins_per_warp\": " << bins
+         << ", \"sort_warp_ops\": "
+         << report.profile.at(core::kKernelSort).vec_ops
+         << ", \"filter_warp_ops\": "
+         << report.profile.at(core::kKernelFilter).vec_ops
          << ", \"detection_ms\": " << report.detection_ms
          << ", \"sorting_ms\": " << report.sorting_group_ms()
          << ", \"filter_ms\": " << report.filter_ms

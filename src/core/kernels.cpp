@@ -273,17 +273,17 @@ DetectionResult launch_hit_detection(simt::Engine& engine,
 
 namespace {
 
-/// The K2-K4 launch shape: one warp per bin, grid-stride over 128-thread
-/// blocks. Bin extents are read host-side, warp-uniform.
-simt::LaunchConfig warp_per_bin_launch(const simt::Engine& engine,
-                                       const char* name,
-                                       std::size_t total_bins,
-                                       int regs_per_thread) {
+/// The K2 and K4 launch shape: one warp per item (a bin for K2, a run of
+/// bins for K4), grid-stride over 128-thread blocks. Warp-uniform extents
+/// are read host-side.
+simt::LaunchConfig warp_per_item_launch(const simt::Engine& engine,
+                                        const char* name, std::size_t items,
+                                        int regs_per_thread) {
   simt::LaunchConfig cfg;
   cfg.name = name;
   cfg.block_threads = 128;
   cfg.grid_blocks =
-      simt::grid_stride_blocks(engine.spec(), total_bins, cfg.block_threads);
+      simt::grid_stride_blocks(engine.spec(), items, cfg.block_threads);
   cfg.regs_per_thread = regs_per_thread;
   return cfg;
 }
@@ -297,12 +297,13 @@ AssembledBins launch_assemble(simt::Engine& engine, const BinGrid& bins) {
   out.counts.reserve(total_bins);
   for (std::size_t b = 0; b < total_bins; ++b)
     out.counts.push_back(std::min(bins.counts[b], bins.capacity));
-  out.offsets =
+  const std::vector<std::uint32_t> offsets =
       gpualgo::exclusive_scan_device(engine, out.counts, kKernelScan);
+  out.offsets.assign(offsets.begin(), offsets.end());
   out.hits.resize(out.offsets.back());
 
   const simt::LaunchConfig cfg =
-      warp_per_bin_launch(engine, kKernelAssemble, total_bins, 16);
+      warp_per_item_launch(engine, kKernelAssemble, total_bins, 16);
   engine.launch(cfg, [&](BlockCtx& ctx) {
     ctx.par([&](WarpExec& w) {
       const auto stride = static_cast<std::size_t>(w.num_warps_total());
@@ -349,9 +350,12 @@ void launch_sort(simt::Engine& engine, AssembledBins& assembled) {
 
 namespace {
 
-/// Walks one warp over n sorted hits at hits[base..], 32 per chunk. Lane j
-/// of a chunk holds hit i = i0 + j (lanes past n hold i >= n) and reaches
-/// its left neighbour through left_of(lane): shfl_up, and for lane 0 the
+/// Consecutive bins one K4 warp walks as a single stream of hits.
+constexpr std::size_t kFilterRunBins = 16;
+
+/// Walks one warp over n hits at hits[base..], 32 per chunk. Lane j of a
+/// chunk holds hit i = i0 + j (lanes past n hold i >= n) and reaches its
+/// left neighbour through left_of(lane): shfl_up, and for lane 0 the
 /// previous chunk's lane 31. visit(i, cur, left_of) decides and writes.
 template <class Visit>
 void walk_sorted(WarpExec& w, const std::uint64_t* hits, std::uint32_t base,
@@ -393,31 +397,44 @@ void scatter_ranked(WarpExec& w, Mask mask, std::uint32_t base, T* out,
 FilteredBins launch_filter(simt::Engine& engine, const Config& config,
                            const AssembledBins& assembled) {
   const std::size_t total_bins = assembled.counts.size();
+  const std::size_t num_runs =
+      (total_bins + kFilterRunBins - 1) / kFilterRunBins;
+  // Run r covers bins [r * kFilterRunBins, ...) and, since the bins lie
+  // back to back, the hits [offsets[first bin], offsets[past its last]).
+  const auto run_start = [&](std::size_t r) {
+    return assembled.offsets[r * kFilterRunBins];
+  };
+  const auto run_end = [&](std::size_t r) {
+    return assembled.offsets[std::min((r + 1) * kFilterRunBins, total_bins)];
+  };
   const auto window =
       static_cast<std::uint32_t>(config.params.two_hit_window);
   const bool one_hit = config.params.one_hit;
   const simt::LaunchConfig cfg =
-      warp_per_bin_launch(engine, kKernelFilter, total_bins, 24);
+      warp_per_item_launch(engine, kKernelFilter, num_runs, 24);
 
-  // Per bin: survivors in the low word, segments in the high word, scanned
-  // together. Zeroed up front (cudaMemset), so bins without survivors
+  // Per run: survivors in the low word, segments in the high word, scanned
+  // together. Zeroed up front (cudaMemset), so runs without survivors
   // write nothing.
-  simt::DeviceVector<std::uint64_t> counts(total_bins, 0);
-  // Survivors compacted within their own bin's assembled region.
+  simt::DeviceVector<std::uint64_t> counts(num_runs, 0);
+  // Survivors compacted within their own run's assembled region.
   simt::DeviceVector<std::uint64_t> staged(assembled.hits.size());
 
   // Pass 1: the two-hit filter (paper Fig. 6c): a hit survives iff its left
   // neighbour is on the same (seq, diagonal) and within the window. A
   // survivor starts a segment iff its key differs from the previous
   // survivor's — the nearest kept lane below it, or for the chunk's first
-  // survivor the last one of earlier chunks, which lane 31 carries.
+  // survivor the last one of earlier chunks, which lane 31 carries. No two
+  // bins share a (seq, diagonal) key, so a run's bins need no boundaries:
+  // a bin's first hit never pairs with the previous bin's last, and its
+  // first survivor always starts a segment.
   engine.launch(cfg, [&](BlockCtx& ctx) {
     ctx.par([&](WarpExec& w) {
       const auto stride = static_cast<std::size_t>(w.num_warps_total());
-      for (auto b = static_cast<std::size_t>(w.global_warp_id());
-           b < total_bins; b += stride) {
-        const std::uint32_t n = assembled.counts[b];
-        const std::uint32_t base = assembled.offsets[b];
+      for (auto r = static_cast<std::size_t>(w.global_warp_id());
+           r < num_runs; r += stride) {
+        const std::uint32_t base = run_start(r);
+        const std::uint32_t n = run_end(r) - base;
         std::uint32_t kept_total = 0;
         std::uint32_t segs = 0;
         LaneArray<std::uint64_t> tail{};
@@ -462,7 +479,7 @@ FilteredBins launch_filter(simt::Engine& engine, const Config& config,
           LaneArray<std::uint32_t> cidx{};
           LaneArray<std::uint64_t> cval{};
           w.vec([&](int lane) {
-            cidx[lane] = static_cast<std::uint32_t>(b);
+            cidx[lane] = static_cast<std::uint32_t>(r);
             cval[lane] = std::uint64_t{segs} << 32 | kept_total;
           });
           w.scatter(counts.data(), cidx, cval);
@@ -471,33 +488,33 @@ FilteredBins launch_filter(simt::Engine& engine, const Config& config,
     });
   });
 
-  // Where each bin's survivors (low word) and segments (high word) start
+  // Where each run's survivors (low word) and segments (high word) start
   // in the flat list.
   const std::vector<std::uint64_t> bases =
       gpualgo::exclusive_scan_device(engine, counts, kKernelFilter);
   FilteredBins out;
   out.num_bins = total_bins;
-  out.total_survivors = bases[total_bins] & 0xffffffffu;
-  out.total_segments = bases[total_bins] >> 32;
+  out.total_survivors = bases[num_runs] & 0xffffffffu;
+  out.total_segments = bases[num_runs] >> 32;
   out.hits.resize(out.total_survivors);
   // Every entry starts as the sentinel (cuMemsetD32); pass 2 overwrites all
   // but the last.
   out.segments.assign(out.total_segments + 1,
                       static_cast<std::uint32_t>(out.total_survivors));
 
-  // Pass 2: copy each bin's survivors into the compact array and index the
+  // Pass 2: copy each run's survivors into the compact array and index the
   // segments — a survivor whose left neighbour among the survivors has
   // another key starts one.
   engine.launch(cfg, [&](BlockCtx& ctx) {
     ctx.par([&](WarpExec& w) {
       const auto stride = static_cast<std::size_t>(w.num_warps_total());
-      for (auto b = static_cast<std::size_t>(w.global_warp_id());
-           b < total_bins; b += stride) {
-        const auto hit_base = static_cast<std::uint32_t>(bases[b]);
-        const auto n = static_cast<std::uint32_t>(bases[b + 1]) - hit_base;
-        const auto seg_base = static_cast<std::uint32_t>(bases[b] >> 32);
+      for (auto r = static_cast<std::size_t>(w.global_warp_id());
+           r < num_runs; r += stride) {
+        const auto hit_base = static_cast<std::uint32_t>(bases[r]);
+        const auto n = static_cast<std::uint32_t>(bases[r + 1]) - hit_base;
+        const auto seg_base = static_cast<std::uint32_t>(bases[r] >> 32);
         std::uint32_t segs = 0;
-        walk_sorted(w, staged.data(), assembled.offsets[b], n,
+        walk_sorted(w, staged.data(), run_start(r), n,
                     [&](const LaneArray<std::uint32_t>& i,
                         const LaneArray<std::uint64_t>& cur, auto&& left_of) {
           LaneArray<std::uint32_t> dst{};

@@ -49,10 +49,12 @@ DetectionResult launch_hit_detection(simt::Engine& engine,
                                      const BlockDevice& block, BinGrid& bins,
                                      SurvivorView survivors = {});
 
+/// K2's output. No two bins share a (sequence, diagonal) key: K1 files all
+/// hits of one diagonal of one sequence in one bin.
 struct AssembledBins {
   simt::DeviceVector<std::uint64_t> hits;  ///< the bins back to back, unpadded
-  std::vector<std::uint32_t> offsets;      ///< total_bins+1 bin starts
-  simt::DeviceVector<std::uint32_t> counts;  ///< hits per bin
+  simt::DeviceVector<std::uint32_t> offsets;  ///< total_bins+1 bin starts
+  simt::DeviceVector<std::uint32_t> counts;   ///< hits per bin
   std::uint64_t total_hits = 0;
 };
 
@@ -61,8 +63,9 @@ struct AssembledBins {
 /// come from a device scan of the counts (kKernelScan).
 AssembledBins launch_assemble(simt::Engine& engine, const BinGrid& bins);
 
-/// K3: sorts every bin by the packed (seq | diagonal | spos) key (warp per
-/// bin, gpualgo::segmented_sort_u64).
+/// K3: sorts every bin by the packed (seq | diagonal | spos) key
+/// (gpualgo::segmented_sort_u64: a warp sorts a run of bins, several small
+/// bins per register network).
 void launch_sort(simt::Engine& engine, AssembledBins& assembled);
 
 /// K4's output: one flat work list for K5, in (bin, segment) order.
@@ -79,10 +82,11 @@ struct FilteredBins {
 
 /// K4: two-hit filter — a hit survives iff its left neighbour in the sorted
 /// bin is on the same (sequence, diagonal) within the window A — plus the
-/// flat segment list. Warp per bin: a filter pass counts each bin's
-/// survivors and segments (left neighbour and previous survivor arrive by
-/// shuffle), a device scan places them, and an indexing pass writes the
-/// compact survivors and each segment's first-survivor index.
+/// flat segment list. A warp walks a run of consecutive bins as one stream
+/// of hits, which bins with disjoint keys allow: a filter pass counts each
+/// run's survivors and segments (left neighbour and previous survivor
+/// arrive by shuffle), a device scan places them, and an indexing pass
+/// writes the compact survivors and each segment's first-survivor index.
 FilteredBins launch_filter(simt::Engine& engine, const Config& config,
                            const AssembledBins& assembled);
 

@@ -1,9 +1,12 @@
 #include "gpualgo/segsort.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 
+#include "simt/device_buffer.hpp"
 #include "simt/occupancy.hpp"
+#include "simt/simtcheck.hpp"
 
 namespace repro::gpualgo {
 
@@ -12,6 +15,9 @@ namespace {
 constexpr int kBlockThreads = 128;
 constexpr int kWarpsPerBlock = kBlockThreads / simt::kWarpSize;
 constexpr std::uint32_t kChunk = simt::kWarpSize;
+/// Consecutive segments one warp takes. Its short segments share register
+/// networks; the rest sort one at a time.
+constexpr std::uint32_t kRunSegments = simt::kWarpSize;
 
 /// A block spends at most 32 kB of its 48 kB shared budget on staging, one
 /// slice per warp; a segment longer than a slice sorts in global memory.
@@ -181,6 +187,48 @@ void sort_segment(WarpExec& w, std::uint64_t* seg, std::uint32_t n,
   }
 }
 
+/// Short segments of one run that sort together: group g of `width` lanes
+/// holds the run's segment seg[g], padded with kSortPad.
+struct Pack {
+  std::uint32_t width = 0;
+  std::uint32_t groups = 0;
+  std::array<std::uint32_t, kChunk> seg{};
+};
+
+/// Sorts a pack in one register network. ext holds, in lane j, the extent
+/// of the run's segment j: end << 32 | start.
+void sort_pack(WarpExec& w, std::uint64_t* data,
+               const LaneArray<std::uint64_t>& ext, const Pack& pack) {
+  const int shift = std::countr_zero(pack.width);
+  LaneArray<int> src{};
+  w.vec([&](int lane) {
+    const std::uint32_t g = static_cast<std::uint32_t>(lane) >> shift;
+    src[static_cast<std::size_t>(lane)] =
+        static_cast<int>(pack.seg[std::min(g, pack.groups - 1)]);
+  });
+  LaneArray<std::uint64_t> mine = ext;
+  w.shfl(mine, src);
+  Index idx{};
+  Index end{};
+  Keys keys{};
+  w.vec([&](int lane) {
+    const auto l = static_cast<std::size_t>(lane);
+    const bool used = (static_cast<std::uint32_t>(lane) >> shift) < pack.groups;
+    idx[l] = static_cast<std::uint32_t>(mine[l]) +
+             (static_cast<std::uint32_t>(lane) & (pack.width - 1));
+    end[l] = used ? static_cast<std::uint32_t>(mine[l] >> 32) : 0;
+    keys[l] = kSortPad;
+  });
+  auto in_segment = [&](int lane) {
+    const auto l = static_cast<std::size_t>(lane);
+    return idx[l] < end[l];
+  };
+  const GlobalKeys global{data};
+  w.if_then(in_segment, [&] { global.load(w, idx, keys); });
+  sort_in_registers(w, keys, pack.width);
+  w.if_then(in_segment, [&] { global.store(w, idx, keys); });
+}
+
 }  // namespace
 
 void segmented_sort_u64(simt::Engine& engine, std::span<std::uint64_t> data,
@@ -200,10 +248,20 @@ void segmented_sort_u64(simt::Engine& engine, std::span<std::uint64_t> data,
     if (n > kChunk && n <= kMaxStagedKeys) slice = std::max(slice, n);
   }
 
+  // Packed warps load the offsets, so they must be a device buffer; host
+  // ones are staged (the implicit H2D copy).
+  std::span<const std::uint32_t> offsets = seg_offsets;
+  simt::DeviceVector<std::uint32_t> staged_offsets;
+  if (!simt::is_device_address(seg_offsets.data(), seg_offsets.size_bytes())) {
+    staged_offsets.assign(seg_offsets.begin(), seg_offsets.end());
+    offsets = {staged_offsets.data(), staged_offsets.size()};
+  }
+
+  const std::size_t num_runs = (num_segments + kRunSegments - 1) / kRunSegments;
   simt::LaunchConfig config;
   config.name = kernel_name;
   config.grid_blocks =
-      simt::grid_stride_blocks(engine.spec(), num_segments, kBlockThreads);
+      simt::grid_stride_blocks(engine.spec(), num_runs, kBlockThreads);
   config.block_threads = kBlockThreads;
   config.regs_per_thread = 24;
 
@@ -216,18 +274,65 @@ void segmented_sort_u64(simt::Engine& engine, std::span<std::uint64_t> data,
       const SharedKeys mine{staging.subspan(
           static_cast<std::size_t>(w.warp_in_block()) * slice, slice)};
       const auto stride = static_cast<std::size_t>(w.num_warps_total());
-      for (auto s = static_cast<std::size_t>(w.global_warp_id());
-           s < num_segments; s += stride) {
-        // Segment extents are host-side and warp-uniform.
-        const std::uint32_t n = length(s);
-        std::uint64_t* seg = data.data() + seg_offsets[s];
-        if (n <= 1) continue;
-        // Up to 32 keys never leave registers; longer segments merge
-        // through the warp's slice when they fit it, else in place.
-        if (n > kChunk && n <= kMaxStagedKeys)
-          sort_segment(w, seg, n, mine);
-        else
-          sort_segment(w, seg, n, GlobalKeys{seg});
+      for (auto r = static_cast<std::size_t>(w.global_warp_id());
+           r < num_runs; r += stride) {
+        const std::size_t first = r * kRunSegments;
+        const std::size_t last = std::min(first + kRunSegments, num_segments);
+        // Extents read here are warp-uniform: they pick the path and plan
+        // the packs.
+        bool any_short = false;
+        for (std::size_t s = first; s < last; ++s) {
+          const std::uint32_t n = length(s);
+          if (n > 1 && n <= kChunk) any_short = true;
+          if (n <= kChunk) continue;
+          // Longer segments merge through the warp's slice when they fit
+          // it, else in place.
+          std::uint64_t* seg = data.data() + seg_offsets[s];
+          if (n <= kMaxStagedKeys)
+            sort_segment(w, seg, n, mine);
+          else
+            sort_segment(w, seg, n, GlobalKeys{seg});
+        }
+        if (!any_short) continue;
+
+        // Per-lane extents: lane j loads segment first + j's start (one
+        // coalesced load) and takes its end from lane j + 1; the last end
+        // is the run's, uniform.
+        Index at{};
+        LaneArray<int> right{};
+        w.vec([&](int lane) {
+          const auto l = static_cast<std::size_t>(lane);
+          at[l] = static_cast<std::uint32_t>(std::min(first + l, last));
+          right[l] = lane + 1;
+        });
+        Index start{};
+        w.gather(offsets.data(), at, start);
+        Index next = start;
+        w.shfl(next, right);
+        LaneArray<std::uint64_t> ext{};
+        const std::uint32_t run_end = seg_offsets[last];
+        w.vec([&](int lane) {
+          const auto l = static_cast<std::size_t>(lane);
+          const std::uint32_t end =
+              lane == simt::kWarpSize - 1 ? run_end : next[l];
+          ext[l] = std::uint64_t{end} << 32 | start[l];
+        });
+
+        // Segments of up to 32 keys sit side by side, each padded to its
+        // pack's width: consecutive ones share a pack while it fits.
+        Pack pack;
+        for (std::size_t s = first; s < last; ++s) {
+          const std::uint32_t n = length(s);
+          if (n <= 1 || n > kChunk) continue;
+          const std::uint32_t width = std::bit_ceil(n);
+          if ((pack.groups + 1) * std::max(pack.width, width) > kChunk) {
+            sort_pack(w, data.data(), ext, pack);
+            pack = Pack{};
+          }
+          pack.width = std::max(pack.width, width);
+          pack.seg[pack.groups++] = static_cast<std::uint32_t>(s - first);
+        }
+        sort_pack(w, data.data(), ext, pack);
       }
     });
   });

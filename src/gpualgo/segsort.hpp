@@ -1,15 +1,19 @@
 // Segmented sort of 64-bit keys, expressed as a SIMT kernel: one warp per
-// segment over a grid-stride launch (the ModernGPU segmented-sort stand-in
-// of DESIGN.md §1). cuBLASTP sorts each hit bin with this; the packed
-// (sequence | diagonal | subject-position) key (paper Fig. 7) makes one
-// ascending sort order the hits for the extension kernels.
+// run of 32 consecutive segments over a grid-stride launch (the ModernGPU
+// segmented-sort stand-in of DESIGN.md §1). cuBLASTP sorts each hit bin
+// with this; the packed (sequence | diagonal | subject-position) key
+// (paper Fig. 7) makes one ascending sort order the hits for the extension
+// kernels.
 //
 // Segments of up to 32 keys sort in registers with a bitonic network over
-// WarpExec::shfl_xor. Longer segments run the same network through the
-// warp's shared-memory slice, or in place in global memory when they are
-// too long for it. Segments need no padding: the network treats the keys
-// past a segment's end as +infinity and masks off the comparators that
-// reach them.
+// WarpExec::shfl_xor, several at once: consecutive short segments sit side
+// by side, each in a group of p lanes (p a power of two, the same for the
+// whole pack) padded with kSortPad, and one network sorts every group. A
+// packed lane learns its segment's extent from one coalesced load of the
+// run's offsets and a shuffle. Longer segments run the same network
+// through the warp's shared-memory slice, or in place in global memory
+// when they are too long for it. Segments need no padding in memory: the
+// network treats the keys past a segment's end as +infinity.
 #pragma once
 
 #include <cstdint>
@@ -33,6 +37,7 @@ inline constexpr std::uint64_t kSortPad = ~0ULL;
 
 /// Sorts each segment of `data` ascending. seg_offsets has num_segments+1
 /// entries; segments may have any length (length <= 1 is left untouched).
+/// Offsets outside device memory are staged into a device buffer first.
 void segmented_sort_u64(simt::Engine& engine, std::span<std::uint64_t> data,
                         std::span<const std::uint32_t> seg_offsets,
                         const std::string& kernel_name = "hit_sort");

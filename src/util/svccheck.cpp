@@ -114,26 +114,35 @@ void SvcHazardLog::clear() {
 
 void CheckedMutex::lock() {
   if (svccheck_enabled() && !tls_held.empty()) {
-    LockGraph& graph = lock_graph();
-    std::lock_guard graph_lock(graph.mu);
-    for (const CheckedMutex* held : tls_held) {
-      if (held->name_ == name_) continue;  // same graph node: never an edge
-      const bool new_edge = graph.edges[held->name_].insert(name_).second;
-      if (!new_edge) continue;
-      // Adding held -> this closes a cycle iff this ->* held already holds.
-      if (graph.path_exists(name_, held->name_) &&
-          graph.reported_pairs.insert(unordered_pair(held->name_, name_))
-              .second) {
-        SvcHazardRecord record;
-        record.kind = SvcHazardKind::kLockOrderInversion;
-        record.name = held->name_ + " -> " + name_;
-        record.detail = "lock-order inversion: '" + name_ +
-                        "' acquired while holding '" + held->name_ +
-                        "', but the opposite order also occurs — a "
-                        "potential deadlock";
-        SvcHazardLog::instance().record(std::move(record));
+    // The inversions are logged after the graph lock is released, as
+    // note_blocking_wait does: SvcHazardLog::clear() takes the log's mutex
+    // and then the graph lock, so logging under the graph lock would invert
+    // that order.
+    std::vector<SvcHazardRecord> inversions;
+    {
+      LockGraph& graph = lock_graph();
+      std::lock_guard graph_lock(graph.mu);
+      for (const CheckedMutex* held : tls_held) {
+        if (held->name_ == name_) continue;  // same graph node: never an edge
+        const bool new_edge = graph.edges[held->name_].insert(name_).second;
+        if (!new_edge) continue;
+        // Adding held -> this closes a cycle iff this ->* held already holds.
+        if (graph.path_exists(name_, held->name_) &&
+            graph.reported_pairs.insert(unordered_pair(held->name_, name_))
+                .second) {
+          SvcHazardRecord record;
+          record.kind = SvcHazardKind::kLockOrderInversion;
+          record.name = held->name_ + " -> " + name_;
+          record.detail = "lock-order inversion: '" + name_ +
+                          "' acquired while holding '" + held->name_ +
+                          "', but the opposite order also occurs — a "
+                          "potential deadlock";
+          inversions.push_back(std::move(record));
+        }
       }
     }
+    for (SvcHazardRecord& record : inversions)
+      SvcHazardLog::instance().record(std::move(record));
   }
   mu_.lock();
   tls_held.push_back(this);

@@ -212,13 +212,15 @@ TEST(SortAndFilter, LeftNeighbourCrossesChunkBoundaries) {
   // is the previous chunk's last one, and so may be its previous survivor.
   // Sorted bins of 1..100 hits on a few (seq, diagonal) runs, against the
   // scalar two-hit rule and segment starts.
+  // Each bin has sequences of its own, as K1's bins do.
   util::Rng rng(41);
   std::vector<std::vector<std::uint64_t>> bins;
   for (const std::uint32_t n : {1u, 31u, 32u, 33u, 64u, 65u, 100u}) {
     std::vector<std::uint64_t> bin;
+    const auto first_seq = static_cast<std::uint32_t>(2 * bins.size());
     for (std::uint32_t i = 0; i < n; ++i)
       bin.push_back(core::pack_hit(
-          static_cast<std::uint32_t>(rng.below(2)),
+          first_seq + static_cast<std::uint32_t>(rng.below(2)),
           static_cast<std::int32_t>(rng.below(2)),
           static_cast<std::uint32_t>(rng.below(1200))));
     bins.push_back(bin);
@@ -229,6 +231,79 @@ TEST(SortAndFilter, LeftNeighbourCrossesChunkBoundaries) {
   const auto filtered = core::launch_filter(engine, config, assembled);
   expect_flat_list(filtered,
                    testref::flat_reference(assembled, config.params));
+}
+
+class SortAndFilterBins : public ::testing::TestWithParam<int> {};
+
+TEST_P(SortAndFilterBins, MatchHostReference) {
+  // K3 and K4 give each warp a run of consecutive bins, so the bin count
+  // sets how many runs there are and how full they get.
+  PipelineFixture fx(127, 20, 313);
+  simt::Engine engine;
+  auto config = small_kernel_config();
+  config.num_bins_per_warp = GetParam();
+  BinGrid bins(config.detection_warps(), config.num_bins_per_warp, 4096);
+  (void)core::launch_hit_detection(engine, config, fx.device_query,
+                                   fx.device_block, bins);
+  auto assembled = core::launch_assemble(engine, bins);
+  std::vector<std::uint64_t> expected(assembled.hits.begin(),
+                                      assembled.hits.end());
+  for (std::size_t b = 0; b < assembled.counts.size(); ++b)
+    std::sort(expected.begin() + assembled.offsets[b],
+              expected.begin() + assembled.offsets[b + 1]);
+  core::launch_sort(engine, assembled);
+  EXPECT_TRUE(std::equal(assembled.hits.begin(), assembled.hits.end(),
+                         expected.begin(), expected.end()));
+
+  const auto filtered = core::launch_filter(engine, config, assembled);
+  EXPECT_EQ(filtered.num_bins, assembled.counts.size());
+  EXPECT_GT(filtered.total_segments, 0u);
+  expect_flat_list(filtered, testref::flat_reference(assembled, fx.params));
+}
+
+INSTANTIATE_TEST_SUITE_P(BinsPerWarp, SortAndFilterBins,
+                         ::testing::Values(32, 256));
+
+TEST(SegmentIndex, RunsOfBinsMatchHostReference) {
+  // K4 walks a run of consecutive bins (16 of them) as one stream of hits.
+  // Forty bins make two full runs and a short one: bins of 0, 1, 2, 31,
+  // 32, 33 and 65 hits side by side; a run that ends in four empty bins; a
+  // run whose first survivor is its second hit (its first in one-hit mode)
+  // and whose last hit survives; and a short run that ends in empty bins.
+  util::Rng rng(43);
+  const std::vector<std::uint32_t> sizes = {0, 1, 2, 31, 32, 33, 65};
+  std::vector<std::vector<std::uint64_t>> bins(40);
+  const auto fill = [&](std::size_t b, std::uint32_t n) {
+    // Each bin has a sequence of its own, as K1's bins do.
+    for (std::uint32_t i = 0; i < n; ++i)
+      bins[b].push_back(core::pack_hit(
+          static_cast<std::uint32_t>(b),
+          static_cast<std::int32_t>(rng.below(3)),
+          static_cast<std::uint32_t>(rng.below(300))));
+  };
+  for (std::size_t b = 0; b < 12; ++b) fill(b, sizes[b % sizes.size()]);
+  bins[16] = {core::pack_hit(16, 0, 100), core::pack_hit(16, 0, 105)};
+  for (std::size_t b = 17; b < 32; ++b) fill(b, sizes[(b * 5) % sizes.size()]);
+  bins[31].push_back(core::pack_hit(31, 5, 500));
+  bins[31].push_back(core::pack_hit(31, 5, 510));
+  for (std::size_t b = 32; b < 38; ++b) fill(b, sizes[(b * 3) % sizes.size()]);
+  const core::AssembledBins assembled = testref::make_bins(bins);
+
+  for (const bool one_hit : {false, true}) {
+    core::Config config = small_kernel_config();
+    config.params.one_hit = one_hit;
+    simt::Engine engine;
+    const auto filtered = core::launch_filter(engine, config, assembled);
+    const auto ref = testref::flat_reference(assembled, config.params);
+    const auto survives = [&](std::uint64_t hit) {
+      return std::find(ref.survivors.begin(), ref.survivors.end(), hit) !=
+             ref.survivors.end();
+    };
+    EXPECT_EQ(survives(core::pack_hit(16, 0, 100)), one_hit);
+    EXPECT_TRUE(survives(core::pack_hit(16, 0, 105)));
+    EXPECT_TRUE(survives(core::pack_hit(31, 5, 510)));
+    expect_flat_list(filtered, ref);
+  }
 }
 
 TEST(SegmentIndex, FlatListMatchesHostReference) {

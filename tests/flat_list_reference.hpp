@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <set>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -19,9 +21,16 @@
 
 namespace repro::testref {
 
-/// Assembled bins holding the given keys, each bin sorted.
+/// Assembled bins holding the given keys, each bin sorted. Like K1's bins,
+/// no two may share a (sequence, diagonal) key; K4 relies on it.
 inline core::AssembledBins make_bins(
     std::vector<std::vector<std::uint64_t>> bins) {
+  std::map<std::uint64_t, std::size_t> owner;
+  for (std::size_t b = 0; b < bins.size(); ++b)
+    for (const std::uint64_t hit : bins[b])
+      if (owner.emplace(hit >> 16, b).first->second != b)
+        throw std::invalid_argument("make_bins: a key lies in two bins");
+
   core::AssembledBins assembled;
   assembled.offsets.push_back(0);
   std::vector<std::uint32_t> counts;

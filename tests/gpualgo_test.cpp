@@ -1,6 +1,6 @@
 // Tests for the GPU algorithm primitives: device prefix scan and the
-// warp-per-segment bitonic sort, validated against the standard library
-// across randomized sizes (TEST_P sweeps).
+// segmented bitonic sort, validated against the standard library across
+// randomized sizes (TEST_P sweeps).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -137,6 +137,55 @@ INSTANTIATE_TEST_SUITE_P(Lengths, SegsortLengthSweep,
                          ::testing::Values(0u, 1u, 2u, 31u, 32u, 33u, 64u,
                                            65u, 1024u, 1025u, 4096u, 4097u,
                                            5000u));
+
+TEST(Segsort, PackedRunsOfMixedLengths) {
+  // A warp takes 32 consecutive segments and sorts the short ones several
+  // to a register network, each padded to the pack's width. Runs here mix
+  // every length class in ascending, descending, shuffled and alternating
+  // order, and the orders straddle run boundaries (four leading empty
+  // segments shift them). Keys repeat and include kSortPad.
+  const std::vector<std::uint32_t> lengths = {0,  1,  2,  3,  4,  5,
+                                              8,  9,  16, 17, 31, 32,
+                                              33, 64, 1024, 1025};
+  util::Rng rng(2020);
+  std::vector<std::uint32_t> order = lengths;
+  std::vector<std::uint32_t> all(4, 0);
+  all.insert(all.end(), order.begin(), order.end());
+  all.insert(all.end(), order.rbegin(), order.rend());
+  for (int shuffle = 0; shuffle < 3; ++shuffle) {
+    for (std::size_t i = order.size(); i > 1; --i)
+      std::swap(order[i - 1], order[rng.below(i)]);
+    all.insert(all.end(), order.begin(), order.end());
+  }
+  for (std::size_t i = 0; i < lengths.size() / 2; ++i) {
+    all.push_back(lengths[i]);
+    all.push_back(lengths[lengths.size() - 1 - i]);
+  }
+
+  std::vector<std::uint64_t> keys;
+  std::vector<std::uint32_t> offsets{0};
+  for (const std::uint32_t n : all) {
+    for (std::uint32_t i = 0; i < n; ++i)
+      keys.push_back(rng.below(6) == 0 ? gpualgo::kSortPad
+                                       : rng.below(n / 2 + 2));
+    offsets.push_back(static_cast<std::uint32_t>(keys.size()));
+  }
+  auto expected = keys;
+  for (std::size_t s = 0; s + 1 < offsets.size(); ++s)
+    std::sort(expected.begin() + offsets[s], expected.begin() + offsets[s + 1]);
+
+  // Offsets from host memory (staged) and from a device buffer.
+  simt::Engine engine;
+  std::vector<std::uint64_t> from_host = keys;
+  gpualgo::segmented_sort_u64(engine, from_host, offsets);
+  EXPECT_EQ(from_host, expected);
+  simt::DeviceVector<std::uint64_t> from_device(keys.begin(), keys.end());
+  const simt::DeviceVector<std::uint32_t> device_offsets(offsets.begin(),
+                                                         offsets.end());
+  gpualgo::segmented_sort_u64(engine, from_device, device_offsets);
+  EXPECT_TRUE(std::equal(from_device.begin(), from_device.end(),
+                         expected.begin(), expected.end()));
+}
 
 TEST(Segsort, AlreadySortedStaysSorted) {
   std::vector<std::uint64_t> data(256);

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -175,6 +176,11 @@ TEST(SimtCheckClean, SegmentedSortEveryPath) {
   // One segment per hit_sort path — registers, a shared-memory slice per
   // warp, in place in global memory — next to each other in every block,
   // serial and SM-sharded. The small pipeline above only makes short bins.
+  // The last 64 segments are short ones of every pack width, so packed
+  // groups share register networks, with empty and one-key segments among
+  // them.
+  const std::array<std::uint32_t, 10> short_lengths = {0, 1, 2,  3,  4,
+                                                       5, 8, 9, 16, 17};
   for (const int workers : {1, 4}) {
     simt::Engine engine;
     engine.set_simtcheck_enabled(true);
@@ -182,8 +188,13 @@ TEST(SimtCheckClean, SegmentedSortEveryPath) {
     util::Rng rng(17);
     std::vector<std::uint32_t> offsets{0};
     std::vector<std::uint64_t> keys;
-    for (int s = 0; s < 64; ++s) {
-      const std::uint32_t n = s % 8 == 0 ? 1500 : s % 2 == 0 ? 100 : 20;
+    for (int s = 0; s < 128; ++s) {
+      const std::uint32_t n =
+          s >= 64       ? short_lengths[static_cast<std::size_t>(s) %
+                                        short_lengths.size()]
+          : s % 8 == 0 ? 1500
+          : s % 2 == 0 ? 100
+                       : 20;
       for (std::uint32_t i = 0; i < n; ++i) keys.push_back(rng.below(500));
       offsets.push_back(static_cast<std::uint32_t>(keys.size()));
     }

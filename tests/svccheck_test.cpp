@@ -44,6 +44,11 @@ struct SvcCheckFixture : ::testing::Test {
 using SvcCheck = SvcCheckFixture;
 using SvcCheckService = SvcCheckFixture;
 
+// The injected inversions take the reverse order on second instances with
+// the same names. The graph is keyed by name, so svccheck sees one cycle,
+// while no two real mutexes are ever taken in both orders (which TSan's
+// deadlock detector would rightly report).
+
 TEST_F(SvcCheck, LockOrderInversionDetectedOncePerPair) {
   util::svc::CheckedMutex a("test.order.a");
   util::svc::CheckedMutex b("test.order.b");
@@ -52,9 +57,11 @@ TEST_F(SvcCheck, LockOrderInversionDetectedOncePerPair) {
     std::scoped_lock lb(b);  // records edge a -> b
   }
   EXPECT_EQ(SvcHazardLog::instance().total(), 0u);
+  util::svc::CheckedMutex a2("test.order.a");
+  util::svc::CheckedMutex b2("test.order.b");
   for (int repeat = 0; repeat < 3; ++repeat) {
-    std::scoped_lock lb(b);
-    std::scoped_lock la(a);  // a -> b exists: closing b -> a is a cycle
+    std::scoped_lock lb(b2);
+    std::scoped_lock la(a2);  // a -> b exists: closing b -> a is a cycle
   }
   const auto records = SvcHazardLog::instance().snapshot();
   ASSERT_EQ(records.size(), 1u);  // deduped: one report per lock pair
@@ -77,9 +84,11 @@ TEST_F(SvcCheck, TransitiveInversionThroughAThirdLockDetected) {
     std::scoped_lock lb(b);
     std::scoped_lock lc(c);  // b -> c
   }
+  util::svc::CheckedMutex a2("test.chain.a");
+  util::svc::CheckedMutex c2("test.chain.c");
   {
-    std::scoped_lock lc(c);
-    std::scoped_lock la(a);  // a ->* c already: c -> a closes the cycle
+    std::scoped_lock lc(c2);
+    std::scoped_lock la(a2);  // a ->* c already: c -> a closes the cycle
   }
   const auto records = SvcHazardLog::instance().snapshot();
   ASSERT_EQ(records.size(), 1u);
