@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
                        util::Table::num(100.0 * seconds / total, 1) + "%"});
   };
   row("hit detection", cu.detection_ms / 1e3);
-  row("hit sorting (assemble+scan+sort)", cu.sorting_group_ms() / 1e3);
+  row("hit sorting (scan+sort)", cu.sorting_group_ms() / 1e3);
   row("hit filtering", cu.filter_ms / 1e3);
   row("ungapped extension", cu.extension_ms / 1e3);
   row("data transfer (H2D+D2H)", (cu.h2d_ms + cu.d2h_ms) / 1e3);

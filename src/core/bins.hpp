@@ -58,7 +58,7 @@ struct BinGrid {
   std::uint32_t capacity = 0;
 
   simt::DeviceVector<std::uint64_t> slots;
-  simt::DeviceVector<std::uint32_t> counts;     ///< per bin, post-kernel
+  simt::DeviceVector<std::uint32_t> counts;     ///< hits held per bin, post-K1
   simt::DeviceVector<std::uint32_t> overflow;   ///< single counter
 
   BinGrid(int warps, int bins, std::uint32_t cap)

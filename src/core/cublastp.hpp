@@ -1,5 +1,5 @@
 // The cuBLASTP engine: fine-grained GPU phases (hit detection with binning,
-// assembling, sorting, filtering, ungapped extension) pipelined with the
+// sorting out of the bins, filtering, ungapped extension) pipelined with the
 // multithreaded CPU phases (gapped extension, alignment with traceback),
 // per paper Fig. 12.
 #pragma once
@@ -54,8 +54,7 @@ struct SearchReport {
 
   // Modeled device-side milliseconds, per kernel family.
   double detection_ms = 0.0;
-  double scan_ms = 0.0;      ///< bin-offset scan (part of assembling)
-  double assemble_ms = 0.0;
+  double scan_ms = 0.0;      ///< bin-offset scan (part of sorting)
   double sort_ms = 0.0;
   double filter_ms = 0.0;
   double extension_ms = 0.0;
@@ -116,13 +115,13 @@ struct SearchReport {
   }
 
   [[nodiscard]] double gpu_critical_ms() const {
-    return detection_ms + scan_ms + assemble_ms + sort_ms + filter_ms +
+    return detection_ms + scan_ms + sort_ms + filter_ms +
            extension_ms + prefilter_ms + coarse_ms;
   }
-  /// "Hit sorting" as the paper groups it in Fig. 14: assembling + scan +
-  /// the segmented sort.
+  /// "Hit sorting" as the paper groups it in Fig. 14: the bin scan + the
+  /// segmented sort, which also assembles the bins.
   [[nodiscard]] double sorting_group_ms() const {
-    return scan_ms + assemble_ms + sort_ms;
+    return scan_ms + sort_ms;
   }
 
   /// Machine-readable run report (schema "cublastp.search_report.v4"):

@@ -235,7 +235,8 @@ DetectionResult launch_hit_detection(simt::Engine& engine,
         }
       }
 
-      // Epilogue: flush this warp's shared top[] into the global counters.
+      // Epilogue: flush this warp's shared top[] into the global counters,
+      // clamped to the capacity: a bin's count is the hits it holds.
       LaneArray<std::uint32_t> b{};
       w.vec([&](int lane) { b[lane] = static_cast<std::uint32_t>(lane); });
       w.loop_while(
@@ -250,6 +251,7 @@ DetectionResult launch_hit_detection(simt::Engine& engine,
             w.sh_gather<std::uint32_t, std::uint32_t>(top, tidx, val);
             w.vec([&](int lane) {
               gidx[lane] = static_cast<std::uint32_t>(warp_bin_base) + b[lane];
+              val[lane] = std::min(val[lane], capacity);
             });
             w.scatter(bins.counts.data(), gidx, val);
             w.vec([&](int lane) { b[lane] += 32; });
@@ -262,86 +264,29 @@ DetectionResult launch_hit_detection(simt::Engine& engine,
   // exercising the capacity-growth ladder on schedules of any density.
   const bool forced_overflow = util::fault_point("core.bin_overflow");
   result.overflowed = bins.overflowed() || forced_overflow;
-  for (const auto count : bins.counts)
-    result.total_hits += std::min<std::uint32_t>(count, bins.capacity);
+  for (const auto count : bins.counts) result.total_hits += count;
   return result;
 }
 
 // --------------------------------------------------------------------------
-// K2: hit assembling
+// K3: hit sorting, straight out of the bin grid
 // --------------------------------------------------------------------------
 
-namespace {
-
-/// The K2 and K4 launch shape: one warp per item (a bin for K2, a run of
-/// bins for K4), grid-stride over 128-thread blocks. Warp-uniform extents
-/// are read host-side.
-simt::LaunchConfig warp_per_item_launch(const simt::Engine& engine,
-                                        const char* name, std::size_t items,
-                                        int regs_per_thread) {
-  simt::LaunchConfig cfg;
-  cfg.name = name;
-  cfg.block_threads = 128;
-  cfg.grid_blocks =
-      simt::grid_stride_blocks(engine.spec(), items, cfg.block_threads);
-  cfg.regs_per_thread = regs_per_thread;
-  return cfg;
-}
-
-}  // namespace
-
 AssembledBins launch_assemble(simt::Engine& engine, const BinGrid& bins) {
-  const std::size_t total_bins = bins.total_bins();
-
   AssembledBins out;
-  out.counts.reserve(total_bins);
-  for (std::size_t b = 0; b < total_bins; ++b)
-    out.counts.push_back(std::min(bins.counts[b], bins.capacity));
-  const std::vector<std::uint32_t> offsets =
-      gpualgo::exclusive_scan_device(engine, out.counts, kKernelScan);
-  out.offsets.assign(offsets.begin(), offsets.end());
+  out.offsets =
+      gpualgo::exclusive_scan_device(engine, bins.counts, kKernelScan);
   out.hits.resize(out.offsets.back());
-
-  const simt::LaunchConfig cfg =
-      warp_per_item_launch(engine, kKernelAssemble, total_bins, 16);
-  engine.launch(cfg, [&](BlockCtx& ctx) {
-    ctx.par([&](WarpExec& w) {
-      const auto stride = static_cast<std::size_t>(w.num_warps_total());
-      for (auto b = static_cast<std::size_t>(w.global_warp_id());
-           b < total_bins; b += stride) {
-        const std::uint32_t n = out.counts[b];
-        if (n == 0) continue;
-        const std::uint64_t src_base = b * bins.capacity;
-        const std::uint32_t dst_base = out.offsets[b];
-        LaneArray<std::uint32_t> i{};
-        w.vec([&](int lane) { i[lane] = static_cast<std::uint32_t>(lane); });
-        w.loop_while([&](int lane) { return i[lane] < n; }, [&] {
-          LaneArray<std::uint64_t> src{};
-          LaneArray<std::uint32_t> dst{};
-          LaneArray<std::uint64_t> v{};
-          w.vec([&](int lane) {
-            src[lane] = src_base + i[lane];
-            dst[lane] = dst_base + i[lane];
-          });
-          w.gather(bins.slots.data(), src, v);
-          w.scatter(out.hits.data(), dst, v);
-          w.vec([&](int lane) { i[lane] += 32; });
-        });
-      }
-    });
-  });
-
-  for (const auto count : out.counts) out.total_hits += count;
+  out.grid = bins.slots.data();
+  out.capacity = bins.capacity;
   return out;
 }
 
-// --------------------------------------------------------------------------
-// K3: hit sorting
-// --------------------------------------------------------------------------
-
 void launch_sort(simt::Engine& engine, AssembledBins& assembled) {
   gpualgo::segmented_sort_u64(engine, assembled.hits, assembled.offsets,
-                              kKernelSort);
+                              kKernelSort,
+                              {assembled.grid, assembled.capacity});
+  assembled.grid = nullptr;  // the hits are in place now
 }
 
 // --------------------------------------------------------------------------
@@ -396,7 +341,9 @@ void scatter_ranked(WarpExec& w, Mask mask, std::uint32_t base, T* out,
 
 FilteredBins launch_filter(simt::Engine& engine, const Config& config,
                            const AssembledBins& assembled) {
-  const std::size_t total_bins = assembled.counts.size();
+  if (assembled.grid != nullptr)
+    throw std::logic_error("hit filtering: the bins are not sorted yet");
+  const std::size_t total_bins = assembled.num_bins();
   const std::size_t num_runs =
       (total_bins + kFilterRunBins - 1) / kFilterRunBins;
   // Run r covers bins [r * kFilterRunBins, ...) and, since the bins lie
@@ -410,8 +357,14 @@ FilteredBins launch_filter(simt::Engine& engine, const Config& config,
   const auto window =
       static_cast<std::uint32_t>(config.params.two_hit_window);
   const bool one_hit = config.params.one_hit;
-  const simt::LaunchConfig cfg =
-      warp_per_item_launch(engine, kKernelFilter, num_runs, 24);
+  // One warp per run, grid-stride over 128-thread blocks. Warp-uniform
+  // extents are read host-side.
+  simt::LaunchConfig cfg;
+  cfg.name = kKernelFilter;
+  cfg.block_threads = 128;
+  cfg.grid_blocks =
+      simt::grid_stride_blocks(engine.spec(), num_runs, cfg.block_threads);
+  cfg.regs_per_thread = 24;
 
   // Per run: survivors in the low word, segments in the high word, scanned
   // together. Zeroed up front (cudaMemset), so runs without survivors
@@ -490,7 +443,7 @@ FilteredBins launch_filter(simt::Engine& engine, const Config& config,
 
   // Where each run's survivors (low word) and segments (high word) start
   // in the flat list.
-  const std::vector<std::uint64_t> bases =
+  const simt::DeviceVector<std::uint64_t> bases =
       gpualgo::exclusive_scan_device(engine, counts, kKernelFilter);
   FilteredBins out;
   out.num_bins = total_bins;

@@ -1,9 +1,11 @@
 // The fine-grained cuBLASTP kernels (paper §3.2–3.4):
 //   K1 hit detection with binning        (Algorithm 2, Fig. 5)
-//   K2 hit assembling                    (Fig. 6a)
-//   K3 hit sorting                       (Fig. 6b; gpualgo segmented sort)
+//   K3 hit sorting                       (Fig. 6a/b; bin scan + gpualgo
+//                                          segmented sort out of the grid)
 //   K4 hit filtering + segment indexing  (Fig. 6c)
 //   K5 ungapped extension                (Algorithms 3/4/5, Fig. 9)
+// The paper's K2 (hit assembling) has no launch of its own: K3's first
+// pass reads each bin from K1's grid and writes it sorted into place.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +21,6 @@ namespace repro::core {
 
 /// Kernel names as they appear in the profile registry (Fig. 19 rows).
 inline constexpr const char* kKernelDetection = "hit_detection";
-inline constexpr const char* kKernelAssemble = "hit_assemble";
 inline constexpr const char* kKernelScan = "bin_scan";
 inline constexpr const char* kKernelSort = "hit_sort";
 inline constexpr const char* kKernelFilter = "hit_filter";
@@ -41,6 +42,7 @@ struct SurvivorView {
 
 /// K1: warp-per-sequence, lane-per-word hit detection writing packed hits
 /// into the warp's bins (shared-memory top[] counters, paper Algorithm 2).
+/// Each bin's count is flushed clamped to the capacity: the hits it holds.
 /// `bins` must be armed: freshly constructed, or re-armed by
 /// BinGrid::rearm since its last launch.
 DetectionResult launch_hit_detection(simt::Engine& engine,
@@ -49,23 +51,33 @@ DetectionResult launch_hit_detection(simt::Engine& engine,
                                      const BlockDevice& block, BinGrid& bins,
                                      SurvivorView survivors = {});
 
-/// K2's output. No two bins share a (sequence, diagonal) key: K1 files all
-/// hits of one diagonal of one sequence in one bin.
+/// The bins laid out back to back, unpadded. No two bins share a
+/// (sequence, diagonal) key: K1 files all hits of one diagonal of one
+/// sequence in one bin.
 struct AssembledBins {
-  simt::DeviceVector<std::uint64_t> hits;  ///< the bins back to back, unpadded
-  simt::DeviceVector<std::uint32_t> offsets;  ///< total_bins+1 bin starts
-  simt::DeviceVector<std::uint32_t> counts;   ///< hits per bin
-  std::uint64_t total_hits = 0;
+  /// Bin b's hits at [offsets[b], offsets[b + 1]), sorted once launch_sort
+  /// has run. Until then they are still in the grid.
+  simt::DeviceVector<std::uint64_t> hits;
+  simt::DeviceVector<std::uint32_t> offsets;  ///< num_bins()+1 bin starts
+  /// K1's grid while it holds the unsorted hits (bin b's in the row at
+  /// grid + b * capacity), not owned; null once `hits` holds them.
+  const std::uint64_t* grid = nullptr;
+  std::uint32_t capacity = 0;
+
+  [[nodiscard]] std::size_t num_bins() const {
+    return offsets.empty() ? 0 : offsets.size() - 1;
+  }
 };
 
-/// K2: compacts the fixed-capacity bins into one contiguous buffer, each
-/// bin at its true count (warp per bin, coalesced copy). The bin starts
-/// come from a device scan of the counts (kKernelScan).
+/// Places the bins: a device scan of K1's counts (kKernelScan) gives each
+/// bin its start. `hits` is left unfilled and the result views `bins`'
+/// slots, which must stay armed until launch_sort.
 AssembledBins launch_assemble(simt::Engine& engine, const BinGrid& bins);
 
 /// K3: sorts every bin by the packed (seq | diagonal | spos) key
 /// (gpualgo::segmented_sort_u64: a warp sorts a run of bins, several small
-/// bins per register network).
+/// bins per register network), reading each bin from the grid and writing
+/// it sorted into `hits`; without a grid view it sorts `hits` in place.
 void launch_sort(simt::Engine& engine, AssembledBins& assembled);
 
 /// K4's output: one flat work list for K5, in (bin, segment) order.
@@ -87,6 +99,7 @@ struct FilteredBins {
 /// run's survivors and segments (left neighbour and previous survivor
 /// arrive by shuffle), a device scan places them, and an indexing pass
 /// writes the compact survivors and each segment's first-survivor index.
+/// `assembled` must be sorted (launch_sort).
 FilteredBins launch_filter(simt::Engine& engine, const Config& config,
                            const AssembledBins& assembled);
 

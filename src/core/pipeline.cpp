@@ -222,7 +222,7 @@ BlockOutcome run_block_on_gpu(simt::Engine& engine, const Config& config,
                               std::uint64_t& overflow_retries,
                               SurvivorView survivors) {
   BlockOutcome out;
-  // Every scratch allocation of the fine K2-K5 chain reports under one
+  // Every scratch allocation of the fine K3-K5 chain reports under one
   // leakcheck site — they must all die with this query. The bin grid is
   // the exception: it is session-resident (arm_bin_grid).
   simt::DeviceAllocSite site("core.fine_pipeline");
@@ -236,7 +236,7 @@ BlockOutcome run_block_on_gpu(simt::Engine& engine, const Config& config,
     const DetectionResult detection = launch_hit_detection(
         engine, config, query, device_block, bins, survivors);
     if (!detection.overflowed) {
-      // K2-K4.
+      // Bin scan, K3, K4.
       AssembledBins assembled = launch_assemble(engine, bins);
       launch_sort(engine, assembled);
       FilteredBins filtered = launch_filter(engine, config, assembled);

@@ -93,7 +93,7 @@ struct BlockOutcome {
   double cpu_fallback_seconds = 0.0;  ///< thread CPU seconds of rung 3
 };
 
-/// One GPU attempt at a block: K1 with bounded capacity growth, then K2-K5
+/// One GPU attempt at a block: K1 with bounded capacity growth, then K3-K5
 /// and the D2H copy, against an already-resident device block. K1 bins
 /// into `bin_grid`, which the caller keeps across attempts: the grid is
 /// re-armed when it has room for `bin_capacity`, else (first use, or an

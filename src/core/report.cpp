@@ -60,7 +60,6 @@ std::string SearchReport::to_json() const {
   out += "\"gpu_ms\":{";
   append_kv(out, "hit_detection", detection_ms);
   append_kv(out, "bin_scan", scan_ms);
-  append_kv(out, "hit_assemble", assemble_ms);
   append_kv(out, "hit_sort", sort_ms);
   append_kv(out, "hit_filter", filter_ms);
   append_kv(out, "ungapped_extension", extension_ms);
@@ -310,8 +309,6 @@ std::string SearchReport::to_table() const {
   phases.add_row({"hit detection (GPU)", util::Table::num(detection_ms, 3),
                   "ms"});
   phases.add_row({"bin scan (GPU)", util::Table::num(scan_ms, 3), "ms"});
-  phases.add_row({"hit assemble (GPU)", util::Table::num(assemble_ms, 3),
-                  "ms"});
   phases.add_row({"hit sort (GPU)", util::Table::num(sort_ms, 3), "ms"});
   phases.add_row({"hit filter (GPU)", util::Table::num(filter_ms, 3), "ms"});
   phases.add_row({"ungapped extension (GPU)",

@@ -270,7 +270,6 @@ SearchSession::QueryRun SearchSession::run_query(
   report.other_seconds = run.modeled.prep_s + run.modeled.finalize_s;
   report.detection_ms = kernel_ms(report.profile, kKernelDetection);
   report.scan_ms = kernel_ms(report.profile, kKernelScan);
-  report.assemble_ms = kernel_ms(report.profile, kKernelAssemble);
   report.sort_ms = kernel_ms(report.profile, kKernelSort);
   report.filter_ms = kernel_ms(report.profile, kKernelFilter);
   report.extension_ms = kernel_ms(report.profile, kKernelExtension);
@@ -296,9 +295,8 @@ SearchSession::QueryRun SearchSession::run_query(
   // work they replaced lives; so do the pre-filter and coarse-backend
   // kernels, which substitute for (parts of) hit detection.
   report.result.timings.hit_detection =
-      (report.detection_ms + report.scan_ms + report.assemble_ms +
-       report.sort_ms + report.filter_ms + report.prefilter_ms +
-       report.coarse_ms) /
+      (report.detection_ms + report.scan_ms + report.sort_ms +
+       report.filter_ms + report.prefilter_ms + report.coarse_ms) /
           1e3 +
       fallback_seconds;
   report.result.timings.ungapped_extension = report.extension_ms / 1e3;

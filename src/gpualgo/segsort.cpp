@@ -72,6 +72,14 @@ void below(WarpExec& w, const Index& idx, std::uint32_t max_idx,
   }
 }
 
+/// A segment's unsorted keys in global memory, read once.
+struct SourceKeys {
+  const std::uint64_t* keys;
+  void load(WarpExec& w, const Index& idx, Keys& out) const {
+    w.gather(keys, idx, out);
+  }
+};
+
 /// A segment's keys in global memory.
 struct GlobalKeys {
   std::uint64_t* keys;
@@ -151,14 +159,15 @@ void cross_chunk_stage(WarpExec& w, const Store& work, std::uint32_t n,
   }
 }
 
-/// Sorts a segment of n >= 2 keys. Each chunk sorts in registers on its
-/// way in (merges up to k = min(p, 32)); every wider merge runs its
-/// cross-chunk stages through `work` and its last five stages inside each
-/// chunk, in registers. The last merge writes back to `seg`, so a segment
-/// of at most 32 keys never touches `work`.
+/// Sorts a segment of n >= 2 keys read from `from` (which may be `seg`
+/// itself) into `seg`. Each chunk sorts in registers on its way in (merges
+/// up to k = min(p, 32)); every wider merge runs its cross-chunk stages
+/// through `work` and its last five stages inside each chunk, in registers.
+/// The last merge writes to `seg`, so a segment of at most 32 keys never
+/// touches `work`.
 template <class Store>
-void sort_segment(WarpExec& w, std::uint64_t* seg, std::uint32_t n,
-                  const Store& work) {
+void sort_segment(WarpExec& w, const std::uint64_t* from, std::uint64_t* seg,
+                  std::uint32_t n, const Store& work) {
   const GlobalKeys global{seg};
   const std::uint32_t chunks = (n + kChunk - 1) / kChunk;
   const std::uint32_t p = std::bit_ceil(n);
@@ -171,7 +180,7 @@ void sort_segment(WarpExec& w, std::uint64_t* seg, std::uint32_t n,
       store_chunk(w, work, c, n, idx, keys);
   };
   for (std::uint32_t c = 0; c < chunks; ++c) {
-    load_chunk(w, global, c, n, idx, keys);
+    load_chunk(w, SourceKeys{from}, c, n, idx, keys);
     sort_in_registers(w, keys, std::min(p, kChunk));
     put(c, p <= kChunk);
   }
@@ -196,9 +205,12 @@ struct Pack {
 };
 
 /// Sorts a pack in one register network. ext holds, in lane j, the extent
-/// of the run's segment j: end << 32 | start.
+/// of the run's segment j: end << 32 | start. The run starts at segment
+/// `first`; a group reads segment first + seg[g] from its row when there
+/// are rows, else in place.
 void sort_pack(WarpExec& w, std::uint64_t* data,
-               const LaneArray<std::uint64_t>& ext, const Pack& pack) {
+               const LaneArray<std::uint64_t>& ext, const Pack& pack,
+               std::size_t first, SegmentRows rows) {
   const int shift = std::countr_zero(pack.width);
   LaneArray<int> src{};
   w.vec([&](int lane) {
@@ -210,13 +222,19 @@ void sort_pack(WarpExec& w, std::uint64_t* data,
   w.shfl(mine, src);
   Index idx{};
   Index end{};
+  LaneArray<std::uint64_t> from{};
   Keys keys{};
   w.vec([&](int lane) {
     const auto l = static_cast<std::size_t>(lane);
     const bool used = (static_cast<std::uint32_t>(lane) >> shift) < pack.groups;
-    idx[l] = static_cast<std::uint32_t>(mine[l]) +
-             (static_cast<std::uint32_t>(lane) & (pack.width - 1));
+    const std::uint32_t at =
+        static_cast<std::uint32_t>(lane) & (pack.width - 1);
+    idx[l] = static_cast<std::uint32_t>(mine[l]) + at;
     end[l] = used ? static_cast<std::uint32_t>(mine[l] >> 32) : 0;
+    // The group's row follows from its segment's index: no load.
+    from[l] = rows.keys != nullptr
+                  ? (first + static_cast<std::size_t>(src[l])) * rows.pitch + at
+                  : idx[l];
     keys[l] = kSortPad;
   });
   auto in_segment = [&](int lane) {
@@ -224,7 +242,8 @@ void sort_pack(WarpExec& w, std::uint64_t* data,
     return idx[l] < end[l];
   };
   const GlobalKeys global{data};
-  w.if_then(in_segment, [&] { global.load(w, idx, keys); });
+  const std::uint64_t* source = rows.keys != nullptr ? rows.keys : data;
+  w.if_then(in_segment, [&] { w.gather(source, from, keys); });
   sort_in_registers(w, keys, pack.width);
   w.if_then(in_segment, [&] { global.store(w, idx, keys); });
 }
@@ -233,12 +252,15 @@ void sort_pack(WarpExec& w, std::uint64_t* data,
 
 void segmented_sort_u64(simt::Engine& engine, std::span<std::uint64_t> data,
                         std::span<const std::uint32_t> seg_offsets,
-                        const std::string& kernel_name) {
+                        const std::string& kernel_name, SegmentRows rows) {
   if (seg_offsets.size() < 2) return;
   const std::size_t num_segments = seg_offsets.size() - 1;
   auto length = [&](std::size_t s) {
     return seg_offsets[s + 1] - seg_offsets[s];
   };
+  // Segments the packs take: in place a one-key segment is already sorted;
+  // from rows it still has to be copied out.
+  const std::uint32_t min_packed = rows.keys != nullptr ? 1 : 2;
 
   // Every warp's slice fits the longest segment staged in shared memory; a
   // launch that stages none allocates nothing and keeps full occupancy.
@@ -283,15 +305,17 @@ void segmented_sort_u64(simt::Engine& engine, std::span<std::uint64_t> data,
         bool any_short = false;
         for (std::size_t s = first; s < last; ++s) {
           const std::uint32_t n = length(s);
-          if (n > 1 && n <= kChunk) any_short = true;
+          if (n >= min_packed && n <= kChunk) any_short = true;
           if (n <= kChunk) continue;
           // Longer segments merge through the warp's slice when they fit
-          // it, else in place.
+          // it, else in place; their first pass reads the row.
           std::uint64_t* seg = data.data() + seg_offsets[s];
+          const std::uint64_t* from =
+              rows.keys != nullptr ? rows.keys + s * rows.pitch : seg;
           if (n <= kMaxStagedKeys)
-            sort_segment(w, seg, n, mine);
+            sort_segment(w, from, seg, n, mine);
           else
-            sort_segment(w, seg, n, GlobalKeys{seg});
+            sort_segment(w, from, seg, n, GlobalKeys{seg});
         }
         if (!any_short) continue;
 
@@ -323,16 +347,16 @@ void segmented_sort_u64(simt::Engine& engine, std::span<std::uint64_t> data,
         Pack pack;
         for (std::size_t s = first; s < last; ++s) {
           const std::uint32_t n = length(s);
-          if (n <= 1 || n > kChunk) continue;
+          if (n < min_packed || n > kChunk) continue;
           const std::uint32_t width = std::bit_ceil(n);
           if ((pack.groups + 1) * std::max(pack.width, width) > kChunk) {
-            sort_pack(w, data.data(), ext, pack);
+            sort_pack(w, data.data(), ext, pack, first, rows);
             pack = Pack{};
           }
           pack.width = std::max(pack.width, width);
           pack.seg[pack.groups++] = static_cast<std::uint32_t>(s - first);
         }
-        sort_pack(w, data.data(), ext, pack);
+        sort_pack(w, data.data(), ext, pack, first, rows);
       }
     });
   });

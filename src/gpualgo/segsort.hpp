@@ -14,6 +14,11 @@
 // through the warp's shared-memory slice, or in place in global memory
 // when they are too long for it. Segments need no padding in memory: the
 // network treats the keys past a segment's end as +infinity.
+//
+// The keys may start out elsewhere than in the output: in fixed-pitch rows,
+// as K1's bin grid holds them. Each segment's first pass then reads its row
+// and the sorted segment lands in the output, so the copy costs no pass of
+// its own.
 #pragma once
 
 #include <cstdint>
@@ -35,11 +40,23 @@ inline constexpr std::uint64_t kSortPad = ~0ULL;
   return p;
 }
 
+/// Where the unsorted keys are when they are not in `data`: segment s's
+/// keys start at keys + s * pitch (pitch >= the longest segment). Rows may
+/// hold anything past their segment's length; the sort never reads it.
+struct SegmentRows {
+  const std::uint64_t* keys = nullptr;
+  std::uint32_t pitch = 0;
+};
+
 /// Sorts each segment of `data` ascending. seg_offsets has num_segments+1
-/// entries; segments may have any length (length <= 1 is left untouched).
-/// Offsets outside device memory are staged into a device buffer first.
+/// entries; segments may have any length. Without `rows` the segments sort
+/// in place (length <= 1 is left untouched); with them, segment s is read
+/// from its row and written sorted to data[seg_offsets[s]..], so every key
+/// of `data` is written. Offsets outside device memory are staged into a
+/// device buffer first.
 void segmented_sort_u64(simt::Engine& engine, std::span<std::uint64_t> data,
                         std::span<const std::uint32_t> seg_offsets,
-                        const std::string& kernel_name = "hit_sort");
+                        const std::string& kernel_name = "hit_sort",
+                        SegmentRows rows = {});
 
 }  // namespace repro::gpualgo

@@ -72,8 +72,7 @@ void append_kernel_json(std::string& out, const std::string& name,
 
 const char* phase_for_kernel(const std::string& kernel_name) {
   if (kernel_name == "hit_detection") return "hit_detection";
-  if (kernel_name == "bin_scan" || kernel_name == "hit_assemble" ||
-      kernel_name == "hit_sort")
+  if (kernel_name == "bin_scan" || kernel_name == "hit_sort")
     return "sorting";
   if (kernel_name == "hit_filter") return "filtering";
   if (kernel_name == "ungapped_extension") return "extension";

@@ -6,7 +6,11 @@
 // in the window collectives, per-op byte counts), which must change how
 // fast a search simulates and nothing that it measures. The hit_sort and
 // hit_filter rows were re-taken when K3 and K4 began to give each warp a
-// run of consecutive bins.
+// run of consecutive bins; the hit_sort row again when K3 began to read
+// the bins straight out of K1's grid (no hit_assemble launch), and the
+// bin_scan and hit_filter rows when the device scan became
+// reduce-then-scan and stopped reading its input twice (K4's count scan
+// is part of the hit_filter row).
 //
 // Read-only-cache hits and modeled time stay out: the cache is keyed on
 // host addresses, so they move with the heap layout. The sum of
@@ -105,18 +109,16 @@ const std::map<std::string, Counters>& pinned() {
       //  shared_ops, shared_conflict_passes, atomic_ops,
       //  atomic_serial_passes}
       {"bin_scan",
-       {6968, 199800, 520, 66048, 2064, 328, 33296, 1100, 1156, 8228, 0, 0}},
-      {"hit_assemble",
-       {51427, 708854, 7361, 385520, 15108, 7361, 385520, 17622, 0, 0, 0,
+       {9756, 264652, 776, 66832, 2316, 332, 33312, 1104, 1476, 10020, 0,
         0}},
       {"hit_detection",
        {162797, 2524558, 28773, 1172348, 212401, 11555, 760776, 78636, 15123,
         8576, 11294, 9235}},
       {"hit_filter",
-       {31769, 845464, 2489, 493464, 17271, 3611, 241600, 10326, 68, 516, 0,
+       {31709, 843420, 2473, 489368, 17143, 3611, 241600, 10326, 68, 516, 0,
         0}},
       {"hit_sort",
-       {69302, 2139839, 2882, 410280, 14999, 2626, 377512, 13975, 578, 462, 0,
+       {71355, 2198129, 3029, 418288, 16132, 2773, 385520, 14143, 578, 462, 0,
         0}},
       {"ungapped_extension",
        {484547, 10499291, 43137, 2899047, 101649, 396, 1776, 408, 43081,

@@ -181,10 +181,10 @@ TEST(SortAndFilter, BinsSortedAndSurvivorsObeyTwoHitRule) {
   core::launch_sort(engine, assembled);
 
   // Every bin ascending after the sort.
-  for (std::size_t b = 0; b < assembled.counts.size(); ++b) {
+  for (std::size_t b = 0; b < assembled.num_bins(); ++b) {
     const std::uint32_t base = assembled.offsets[b];
-    for (std::uint32_t i = 1; i < assembled.counts[b]; ++i)
-      ASSERT_LE(assembled.hits[base + i - 1], assembled.hits[base + i]);
+    for (std::uint32_t i = base + 1; i < assembled.offsets[b + 1]; ++i)
+      ASSERT_LE(assembled.hits[i - 1], assembled.hits[i]);
   }
 
   const auto filtered = core::launch_filter(engine, config, assembled);
@@ -237,7 +237,8 @@ class SortAndFilterBins : public ::testing::TestWithParam<int> {};
 
 TEST_P(SortAndFilterBins, MatchHostReference) {
   // K3 and K4 give each warp a run of consecutive bins, so the bin count
-  // sets how many runs there are and how full they get.
+  // sets how many runs there are and how full they get. K3 reads each bin
+  // out of the grid; the reference sorts the grid's claimed slots.
   PipelineFixture fx(127, 20, 313);
   simt::Engine engine;
   auto config = small_kernel_config();
@@ -246,17 +247,19 @@ TEST_P(SortAndFilterBins, MatchHostReference) {
   (void)core::launch_hit_detection(engine, config, fx.device_query,
                                    fx.device_block, bins);
   auto assembled = core::launch_assemble(engine, bins);
-  std::vector<std::uint64_t> expected(assembled.hits.begin(),
-                                      assembled.hits.end());
-  for (std::size_t b = 0; b < assembled.counts.size(); ++b)
-    std::sort(expected.begin() + assembled.offsets[b],
-              expected.begin() + assembled.offsets[b + 1]);
+  std::vector<std::uint64_t> expected;
+  for (std::size_t b = 0; b < bins.total_bins(); ++b) {
+    const auto first = bins.slots.begin() +
+                       static_cast<std::ptrdiff_t>(bins.slot_index(b, 0));
+    expected.insert(expected.end(), first, first + bins.counts[b]);
+    std::sort(expected.end() - bins.counts[b], expected.end());
+  }
   core::launch_sort(engine, assembled);
   EXPECT_TRUE(std::equal(assembled.hits.begin(), assembled.hits.end(),
                          expected.begin(), expected.end()));
 
   const auto filtered = core::launch_filter(engine, config, assembled);
-  EXPECT_EQ(filtered.num_bins, assembled.counts.size());
+  EXPECT_EQ(filtered.num_bins, assembled.num_bins());
   EXPECT_GT(filtered.total_segments, 0u);
   expect_flat_list(filtered, testref::flat_reference(assembled, fx.params));
 }
@@ -316,7 +319,7 @@ TEST(SegmentIndex, FlatListMatchesHostReference) {
   auto assembled = core::launch_assemble(engine, bins);
   core::launch_sort(engine, assembled);
   const auto filtered = core::launch_filter(engine, config, assembled);
-  EXPECT_EQ(filtered.num_bins, assembled.counts.size());
+  EXPECT_EQ(filtered.num_bins, assembled.num_bins());
   EXPECT_GT(filtered.total_segments, 0u);
   expect_flat_list(filtered, testref::flat_reference(assembled, fx.params));
 }

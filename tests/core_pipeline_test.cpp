@@ -308,8 +308,8 @@ TEST(CuBlastp, ProfileContainsAllKernels) {
   const auto w = make_workload(127, 40, 53);
   const auto report = core::CuBlastp(base_config()).search(w.query, w.db);
   for (const char* kernel :
-       {core::kKernelDetection, core::kKernelAssemble, core::kKernelScan,
-        core::kKernelSort, core::kKernelFilter, core::kKernelExtension}) {
+       {core::kKernelDetection, core::kKernelScan, core::kKernelSort,
+        core::kKernelFilter, core::kKernelExtension}) {
     ASSERT_TRUE(report.profile.has(kernel)) << kernel;
     EXPECT_GT(report.profile.at(kernel).vec_ops, 0u) << kernel;
     EXPECT_GT(report.profile.at(kernel).time_ms, 0.0) << kernel;

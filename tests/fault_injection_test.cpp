@@ -193,6 +193,27 @@ TEST_F(ChaosEquivalence, ForcedBinOverflowPreservesOutput) {
   EXPECT_EQ(failed_attempts(faulty), 0u);
 }
 
+TEST_F(ChaosEquivalence, SortFromAGridGrownPast1024) {
+  // Five forced overflows grow the bins from 64 to 2048 slots before the
+  // first block's detection holds: K3 then reads every bin from a row that
+  // far into the grown grid, and the search must not notice.
+  const auto w = make_workload(107);
+  auto config = chaos_config();
+  const auto reference = core::CuBlastp(config).search(w.query, w.db);
+
+  config.fault_schedule = "core.bin_overflow:every=1,max=5";
+  config.fault_seed = 11;
+  const auto grown = core::CuBlastp(config).search(w.query, w.db);
+
+  EXPECT_EQ(reference.result.alignments, grown.result.alignments);
+  EXPECT_EQ(reference.result.counters.hits_after_filter,
+            grown.result.counters.hits_after_filter);
+  EXPECT_EQ(grown.faults_encountered, 5u);
+  EXPECT_GE(grown.bin_overflow_retries, reference.bin_overflow_retries + 5);
+  EXPECT_EQ(grown.degraded_blocks, 0u);
+  EXPECT_EQ(failed_attempts(grown), 0u);
+}
+
 TEST_F(ChaosEquivalence, AllocationFaultAbsorbedByCacheOffRetry) {
   const auto w = make_workload(103);
   auto config = chaos_config();

@@ -33,16 +33,12 @@ inline core::AssembledBins make_bins(
 
   core::AssembledBins assembled;
   assembled.offsets.push_back(0);
-  std::vector<std::uint32_t> counts;
   for (auto& bin : bins) {
     std::sort(bin.begin(), bin.end());
     assembled.hits.insert(assembled.hits.end(), bin.begin(), bin.end());
     assembled.offsets.push_back(
         static_cast<std::uint32_t>(assembled.hits.size()));
-    counts.push_back(static_cast<std::uint32_t>(bin.size()));
   }
-  assembled.counts.assign(counts.begin(), counts.end());
-  assembled.total_hits = assembled.hits.size();
   return assembled;
 }
 
@@ -57,10 +53,11 @@ inline FlatReference flat_reference(const core::AssembledBins& assembled,
                                     const blast::SearchParams& params) {
   const auto window = static_cast<std::uint32_t>(params.two_hit_window);
   FlatReference ref;
-  for (std::size_t b = 0; b < assembled.counts.size(); ++b) {
+  for (std::size_t b = 0; b < assembled.num_bins(); ++b) {
     const std::uint64_t* hits = assembled.hits.data() + assembled.offsets[b];
     const std::size_t first = ref.survivors.size();
-    for (std::uint32_t i = 0; i < assembled.counts[b]; ++i) {
+    const std::uint32_t count = assembled.offsets[b + 1] - assembled.offsets[b];
+    for (std::uint32_t i = 0; i < count; ++i) {
       const bool survives =
           params.one_hit ||
           (i > 0 && hits[i] >> 16 == hits[i - 1] >> 16 &&

@@ -10,6 +10,7 @@
 #include "gpualgo/scan.hpp"
 #include "gpualgo/segsort.hpp"
 #include "simt/device_buffer.hpp"
+#include "simt/simtcheck.hpp"
 #include "util/rng.hpp"
 
 namespace repro {
@@ -29,7 +30,7 @@ TEST_P(ScanSweep, MatchesStdExclusiveScan) {
   std::vector<std::uint32_t> expected(n + 1, 0);
   std::partial_sum(input.begin(), input.end(), expected.begin() + 1);
   ASSERT_EQ(got.size(), expected.size());
-  EXPECT_EQ(got, expected);
+  EXPECT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()), expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, ScanSweep,
@@ -42,6 +43,36 @@ TEST(Scan, AllZeros) {
   const std::vector<std::uint32_t> input(300, 0);
   const auto got = gpualgo::exclusive_scan_device(engine, input);
   for (const auto v : got) EXPECT_EQ(v, 0u);
+}
+
+TEST(Scan, EveryOutputWordWrittenByALaunch) {
+  // 40,000 counts are 313 tiles, so the tile totals take a second level of
+  // reduce-then-scan. The output is left unfilled, and initcheck counts a
+  // word as written only when a kernel stores it: the second scan, which
+  // reads every word of the first one's output, would report one the host
+  // filled in.
+  simt::Engine engine;
+  engine.set_simtcheck_enabled(true);
+  util::Rng rng(40000);
+  simt::DeviceVector<std::uint32_t> counts(40000);
+  for (auto& c : counts) c = static_cast<std::uint32_t>(rng.below(9));
+  simt::mark_device_initialized(counts.data(),
+                                counts.size() * sizeof(std::uint32_t));
+
+  const auto offsets = gpualgo::exclusive_scan_device(engine, counts, "scan");
+  const auto twice = gpualgo::exclusive_scan_device(engine, offsets, "scan");
+  EXPECT_EQ(engine.hazards().total, 0u) << engine.hazards().summary();
+
+  std::vector<std::uint32_t> expected(counts.size() + 1, 0);
+  std::partial_sum(counts.begin(), counts.end(), expected.begin() + 1);
+  EXPECT_EQ(std::vector<std::uint32_t>(offsets.begin(), offsets.end()),
+            expected);
+  std::uint32_t sum = 0;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(twice[i], sum) << i;
+    sum += expected[i];
+  }
+  EXPECT_EQ(twice.back(), sum);
 }
 
 TEST(Scan, CoalescedLoadsFromAlignedBuffer) {
@@ -185,6 +216,53 @@ TEST(Segsort, PackedRunsOfMixedLengths) {
   gpualgo::segmented_sort_u64(engine, from_device, device_offsets);
   EXPECT_TRUE(std::equal(from_device.begin(), from_device.end(),
                          expected.begin(), expected.end()));
+}
+
+TEST(Segsort, ReadsEachSegmentFromItsRow) {
+  // K3 reads bin s from row s of K1's grid, s * capacity keys in, and
+  // writes it sorted to its place in the output. The pitch here, 1031, is
+  // neither the launch's warp count nor a power of two. Segments of every
+  // path's edge lengths (0, 1, 2, 31, 32, 33, 1024, 1025) come in
+  // ascending, descending and shuffled order, then a run of one- and
+  // two-key segments; past each segment's length its row holds small
+  // keys that would sort first if read, and the output starts as garbage.
+  constexpr std::uint32_t kPitch = 1031;
+  const std::vector<std::uint32_t> edges = {0, 1, 2, 31, 32, 33, 1024, 1025};
+  util::Rng rng(1031);
+  std::vector<std::uint32_t> lengths = edges;
+  lengths.insert(lengths.end(), edges.rbegin(), edges.rend());
+  std::vector<std::uint32_t> shuffled = edges;
+  for (std::size_t i = shuffled.size(); i > 1; --i)
+    std::swap(shuffled[i - 1], shuffled[rng.below(i)]);
+  lengths.insert(lengths.end(), shuffled.begin(), shuffled.end());
+  for (int i = 0; i < 40; ++i)
+    lengths.push_back(static_cast<std::uint32_t>(1 + rng.below(2)));
+
+  simt::DeviceVector<std::uint64_t> rows(lengths.size() * kPitch);
+  for (auto& key : rows) key = rng.below(4);  // garbage
+  std::vector<std::uint32_t> offsets{0};
+  std::vector<std::uint64_t> expected;
+  for (std::size_t s = 0; s < lengths.size(); ++s) {
+    for (std::uint32_t i = 0; i < lengths[s]; ++i) {
+      const std::uint64_t key = rng.below(7) == 0
+                                    ? gpualgo::kSortPad
+                                    : 100 + rng.below(lengths[s] / 2 + 2);
+      rows[s * kPitch + i] = key;
+      expected.push_back(key);
+    }
+    offsets.push_back(static_cast<std::uint32_t>(expected.size()));
+    std::sort(expected.begin() + offsets[s], expected.end());
+  }
+  const std::vector<std::uint64_t> rows_before(rows.begin(), rows.end());
+
+  simt::Engine engine;
+  simt::DeviceVector<std::uint64_t> data(expected.size(), 0x5eedull);
+  gpualgo::segmented_sort_u64(engine, data, offsets, "segsort_rows",
+                              {rows.data(), kPitch});
+  EXPECT_TRUE(std::equal(data.begin(), data.end(), expected.begin(),
+                         expected.end()));
+  EXPECT_TRUE(std::equal(rows.begin(), rows.end(), rows_before.begin(),
+                         rows_before.end()));
 }
 
 TEST(Segsort, AlreadySortedStaysSorted) {

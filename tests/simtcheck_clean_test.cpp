@@ -1,8 +1,8 @@
 // SimtCheckClean: every production kernel — hit detection, binning/
-// sorting/filtering, all three ungapped-extension strategies, the SSV
-// pre-filter, the gapped ablation kernel, and both coarse-grained
-// baselines — must run under the simtcheck hazard analyzer with zero
-// findings, serial and SM-sharded.
+// sorting/filtering (K3 also on a re-armed grid), all three
+// ungapped-extension strategies, the SSV pre-filter, the gapped ablation
+// kernel, and both coarse-grained baselines — must run under the simtcheck
+// hazard analyzer with zero findings, serial and SM-sharded.
 // The analyzer's false-positive budget is zero, and a regression that
 // introduces a real hazard (like the divergent scan it caught in
 // emit_records) fails here before it ships.
@@ -205,6 +205,63 @@ TEST(SimtCheckClean, SegmentedSortEveryPath) {
     for (std::size_t s = 0; s + 1 < offsets.size(); ++s)
       EXPECT_TRUE(std::is_sorted(data.begin() + offsets[s],
                                  data.begin() + offsets[s + 1]));
+  }
+}
+
+TEST(SimtCheckClean, SortReadsOnlyClaimedSlotsOfARearmedGrid) {
+  // K3 reads each bin straight out of K1's grid. A re-armed grid still
+  // holds the previous launch's hits, but initcheck marks its slots
+  // undefined again, so reading past a bin's count is reported. Here a
+  // long query fills the grid at capacity 2048, the grid is re-armed at
+  // 1100 (a new row pitch) and a short query claims fewer slots; then K3
+  // and K4 run, serial and SM-sharded.
+  const PipelineFixture fx;
+  const auto short_query = bio::make_benchmark_query(127).residues;
+  blast::SearchParams params;
+  core::Config config;
+  config.detection_blocks = 2;
+  config.detection_block_threads = 128;
+  config.num_bins_per_warp = 32;
+  for (const int workers : {1, 4}) {
+    simt::Engine engine;
+    engine.set_simtcheck_enabled(true);
+    engine.set_workers(workers);
+    const blast::WordLookup long_lookup(fx.query, bio::Blosum62::instance(),
+                                        params);
+    const bio::Pssm long_pssm(fx.query, bio::Blosum62::instance());
+    const core::QueryDevice long_dq(fx.query, long_lookup, long_pssm);
+    const blast::WordLookup lookup(short_query, bio::Blosum62::instance(),
+                                   params);
+    const bio::Pssm pssm(short_query, bio::Blosum62::instance());
+    const core::QueryDevice dq(short_query, lookup, pssm);
+    const core::BlockDevice blk(fx.db, 0, fx.db.size());
+
+    core::BinGrid grid(config.detection_warps(), config.num_bins_per_warp,
+                       2048);
+    ASSERT_FALSE(
+        core::launch_hit_detection(engine, config, long_dq, blk, grid)
+            .overflowed);
+    grid.rearm(1100);
+    ASSERT_FALSE(
+        core::launch_hit_detection(engine, config, dq, blk, grid).overflowed);
+
+    std::vector<std::uint64_t> expected;
+    for (std::size_t b = 0; b < grid.total_bins(); ++b) {
+      const auto first = grid.slots.begin() +
+                         static_cast<std::ptrdiff_t>(grid.slot_index(b, 0));
+      expected.insert(expected.end(), first, first + grid.counts[b]);
+      std::sort(expected.end() - grid.counts[b], expected.end());
+    }
+    ASSERT_GT(expected.size(), 0u);
+
+    core::AssembledBins assembled = core::launch_assemble(engine, grid);
+    core::launch_sort(engine, assembled);
+    (void)core::launch_filter(engine, config, assembled);
+    EXPECT_EQ(engine.hazards().total, 0u)
+        << "workers " << workers << "\n"
+        << engine.hazards().summary();
+    EXPECT_TRUE(std::equal(assembled.hits.begin(), assembled.hits.end(),
+                           expected.begin(), expected.end()));
   }
 }
 

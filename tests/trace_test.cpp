@@ -418,10 +418,10 @@ TEST(TraceWriter, SearchTraceCoversAllPhases) {
   const JsonValue events = parse_trace(json);
   const auto names = event_names(events);
 
-  // The six fine-grained GPU phases.
+  // The five fine-grained GPU phases.
   for (const char* kernel :
-       {core::kKernelDetection, core::kKernelScan, core::kKernelAssemble,
-        core::kKernelSort, core::kKernelFilter, core::kKernelExtension})
+       {core::kKernelDetection, core::kKernelScan, core::kKernelSort,
+        core::kKernelFilter, core::kKernelExtension})
     EXPECT_TRUE(names.count(kernel)) << kernel;
   // PCIe transfers.
   for (const char* label : {"h2d_query", "h2d_block", "d2h_extensions"})
