@@ -127,11 +127,6 @@ std::string provenance_json(const core::Config& config) {
        << ", \"auto_pssm_max_query\": " << config.auto_pssm_max_query
        << ", \"simtcheck\": " << (config.simtcheck ? "true" : "false")
        << ", \"svccheck\": " << (config.svccheck ? "true" : "false")
-       << ", \"prefilter\": \""
-       << core::prefilter_mode_name(config.prefilter)
-       << "\", \"prefilter_threshold\": " << config.prefilter_threshold
-       << ", \"prefilter_backend_switch\": "
-       << config.prefilter_backend_switch
        << ", \"params\": {\"word_length\": " << p.word_length
        << ", \"neighbor_threshold\": " << p.neighbor_threshold
        << ", \"two_hit_window\": " << p.two_hit_window

@@ -4,22 +4,15 @@
 //   ./blastp_cli --query=queries.fasta --db=database.fasta
 //                [--evalue=10] [--engine=cublastp|fsa|ncbi]
 //                [--strategy=window|diagonal|hit] [--threads=4]
-//                [--engine_workers=1] [--max_alignments=5]
-//                [--prefilter=off|on|auto] [--prefilter-threshold=N]
+//                [--engine_workers=1] [--shards=1] [--max_alignments=5]
 //                [--lenient] [--simtcheck] [--svccheck]
 //                [--trace=out.json] [--metrics=out.prom]
 //                [--report] [--report-json=out.json]
 //
-// --prefilter enables the lossless SSV pre-filter (results stay
-// bit-identical; DESIGN.md §13); auto additionally routes dense blocks to
-// the coarse backend. --prefilter-threshold overrides the calibrated
-// cutoff (0 = derive from Karlin statistics; raising it above the derived
-// value voids the losslessness guarantee).
-//
 // Batch mode: --batch=queries.fasta (instead of --query) answers every
 // query through one core::SearchSession::search_batch — the database is
 // uploaded once and the queries run one after another across the
-// --shards=K fleet. --report-json then writes ONE cublastp.batch_report.v4
+// --shards=K fleet. --report-json then writes ONE cublastp.batch_report.v5
 // document instead of an array of per-query reports.
 //
 // Sharding: --shards=K partitions the database blocks across a modeled
@@ -65,7 +58,7 @@
 // anything else is an error); --profile=out.json writes the continuous
 // profiler's cumulative per-phase document (schema cublastp.profile.v1);
 // --report prints the per-query phase/counter tables; --report-json writes
-// the structured run report(s) (schema cublastp.search_report.v4).
+// the structured run report(s) (schema cublastp.search_report.v5).
 //
 // Try it end to end with the synthetic generator:
 //   ./database_tools generate --out=db.fasta --seqs=1000 --plant_query_len=517
@@ -116,13 +109,6 @@ bool report_query_health(const std::string& query_id, bool simtcheck,
                  report.retry_counts.size(),
                  static_cast<unsigned long long>(report.cache_off_retries),
                  static_cast<unsigned long long>(report.faults_encountered));
-  if (report.prefilter_degraded_blocks != 0)
-    std::fprintf(
-        stderr,
-        "blastp_cli: query %s: pre-filter skipped on %llu blocks (served "
-        "unfiltered; results stay complete)\n",
-        query_id.c_str(),
-        static_cast<unsigned long long>(report.prefilter_degraded_blocks));
   return report.hazards.total != 0;
 }
 
@@ -315,7 +301,6 @@ int run(int argc, char** argv) {
                  "[--evalue=E] [--engine=cublastp|fsa|ncbi] "
                  "[--strategy=window|diagonal|hit] [--threads=T] "
                  "[--engine_workers=W] [--shards=K] "
-                 "[--prefilter=off|on|auto] [--prefilter-threshold=N] "
                  "[--max_alignments=N] [--lenient] [--simtcheck] "
                  "[--svccheck] "
                  "[--trace=PATH] [--metrics=PATH] [--profile=PATH] "

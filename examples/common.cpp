@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <exception>
-#include <stdexcept>
 #include <utility>
 
 namespace repro::examples {
@@ -54,22 +53,6 @@ core::Config config_from_options(const util::Options& options) {
   // blocked-while-locked waits, cancellation checkpoint coverage; env
   // REPRO_SVCCHECK=1 does the same).
   config.svccheck = options.has("svccheck");
-  // --prefilter=off|on|auto: the lossless SSV pre-filter stage; auto also
-  // routes dense blocks to the coarse backend (DESIGN.md §13).
-  const std::string prefilter = options.get("prefilter", "off");
-  if (prefilter == "on")
-    config.prefilter = core::PrefilterMode::kOn;
-  else if (prefilter == "auto")
-    config.prefilter = core::PrefilterMode::kAuto;
-  else if (prefilter == "off")
-    config.prefilter = core::PrefilterMode::kOff;
-  else
-    throw std::invalid_argument("--prefilter must be off, on, or auto (got " +
-                                prefilter + ")");
-  // --prefilter-threshold overrides the calibrated score cutoff (0 keeps
-  // the Karlin-derived lossless threshold).
-  config.prefilter_threshold =
-      static_cast<int>(options.get_int("prefilter-threshold", 0));
   return config;
 }
 

@@ -27,10 +27,9 @@ bio::SequenceDatabase load_database(const std::string& path, bool lenient,
                                     const char* tool);
 
 /// The engine-config flags shared by the tools: --evalue, --threads,
-/// --engine_workers, --strategy=window|diagonal|hit, --simtcheck,
-/// --svccheck,
-/// --prefilter=off|on|auto, --prefilter-threshold.
-/// Flags a tool doesn't pass keep the paper defaults.
+/// --engine_workers, --shards, --strategy=window|diagonal|hit,
+/// --simtcheck, --svccheck. Flags a tool doesn't pass keep the paper
+/// defaults.
 core::Config config_from_options(const util::Options& options);
 
 /// Runs `body` under the shared top-level handler: any std::exception is

@@ -1,13 +1,19 @@
-#include "core/coarse_block.hpp"
+#include "baselines/coarse_block.hpp"
 
+#include <atomic>
+
+#include "baselines/coarse_gpu.hpp"
 #include "bio/alphabet.hpp"
 #include "core/lane_extend.hpp"
 #include "core/scoring.hpp"
 
-namespace repro::core {
+namespace repro::baselines {
 
 namespace {
 
+using core::DeviceScoring;
+using core::LaneExtendIo;
+using core::lane_extend_ungapped;
 using simt::BlockCtx;
 using simt::LaneArray;
 using simt::WarpExec;
@@ -41,16 +47,16 @@ struct CoarseRecords {
 }  // namespace
 
 CoarseBlockOutput run_coarse_block(simt::Engine& engine,
-                                   const CoarseBlockConfig& config,
-                                   const QueryDevice& query,
-                                   const BlockDevice& block,
+                                   const CoarseConfig& config,
+                                   bool dynamic_queue,
+                                   const core::QueryDevice& query,
+                                   const core::BlockDevice& block,
                                    std::uint32_t output_capacity) {
   const auto& params = config.params;
   const std::uint32_t qlen = query.query_length;
   const auto window = static_cast<std::uint32_t>(params.two_hit_window);
   const std::uint32_t diag_span = qlen + block.max_seq_len + 2;
   const int total_threads = config.grid_blocks * config.block_threads;
-  const bool dynamic_queue = config.dynamic_queue;
 
   // Per-thread diagonal state in global memory ("each thread has its own
   // lasthit_arr", paper §3.1). Values are block-global subject positions
@@ -63,14 +69,13 @@ CoarseBlockOutput run_coarse_block(simt::Engine& engine,
   CoarseRecords records(config.grid_blocks, output_capacity);
   const DeviceScoring scoring = DeviceScoring::plain_global_pssm(query);
 
-  // Host-captured counters: real atomics, so the SM-sharded engine's
-  // workers may bump them concurrently. They never touch KernelStats, so
-  // the modeled metrics are identical whether or not anyone reads them.
+  // Host-captured counter: a real atomic, so the SM-sharded engine's
+  // workers may bump it concurrently. It never touches KernelStats, so the
+  // modeled metrics are identical whether or not anyone reads it.
   std::atomic<std::uint64_t> hits_detected{0};
-  std::atomic<std::uint64_t> extensions_run{0};
 
   simt::LaunchConfig cfg;
-  cfg.name = kKernelCoarse;
+  cfg.name = kCoarseKernel;
   cfg.grid_blocks = config.grid_blocks;
   cfg.block_threads = config.block_threads;
   cfg.regs_per_thread = 56;  // the fused kernel is register-hungry
@@ -230,10 +235,6 @@ CoarseBlockOutput run_coarse_block(simt::Engine& engine,
                         w.if_then(
                             [&](int lane) { return trigger[lane] != 0; },
                             [&] {
-                              extensions_run.fetch_add(
-                                  static_cast<std::uint64_t>(
-                                      w.active_lanes()),
-                                  std::memory_order_relaxed);
                               LaneExtendIo io;
                               w.vec([&](int lane) {
                                 io.qpos[lane] = qpos[lane];
@@ -328,7 +329,6 @@ CoarseBlockOutput run_coarse_block(simt::Engine& engine,
 
   CoarseBlockOutput out;
   out.hits_detected = hits_detected.load(std::memory_order_relaxed);
-  out.extensions_run = extensions_run.load(std::memory_order_relaxed);
   out.overflowed = records.overflow[0] != 0;
   if (out.overflowed) return out;
   for (int b = 0; b < config.grid_blocks; ++b) {
@@ -353,4 +353,4 @@ CoarseBlockOutput run_coarse_block(simt::Engine& engine,
   return out;
 }
 
-}  // namespace repro::core
+}  // namespace repro::baselines

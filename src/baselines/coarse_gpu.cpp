@@ -4,34 +4,17 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "baselines/coarse_block.hpp"
 #include "bio/karlin.hpp"
 #include "bio/pssm.hpp"
 #include "blast/results.hpp"
 #include "blast/wordlookup.hpp"
-#include "core/coarse_block.hpp"
 #include "core/device_data.hpp"
 #include "simt/engine.hpp"
 #include "util/timer.hpp"
 #include "util/trace.hpp"
 
 namespace repro::baselines {
-
-namespace {
-
-/// Translates the baseline config for the shared per-block kernel (the
-/// kernel itself moved to core/coarse_block.cpp so the adaptive pre-filter
-/// router can reuse it; behaviour here is unchanged).
-core::CoarseBlockConfig block_config(const CoarseConfig& config,
-                                     bool dynamic_queue) {
-  core::CoarseBlockConfig out;
-  out.params = config.params;
-  out.grid_blocks = config.grid_blocks;
-  out.block_threads = config.block_threads;
-  out.dynamic_queue = dynamic_queue;
-  return out;
-}
-
-}  // namespace
 
 CoarseSession::CoarseSession(const bio::SequenceDatabase& db,
                              CoarseConfig config, bool sort_by_length,
@@ -115,8 +98,6 @@ CoarseReport CoarseSession::search(std::span<const std::uint8_t> query) {
   }
   engine_.transfer("h2d_query", device_query.h2d_bytes());
 
-  const core::CoarseBlockConfig kernel_config =
-      block_config(config_, dynamic_queue_);
   std::vector<blast::UngappedExtension> extensions;
   for (std::size_t bi = 0; bi < blocks_.size(); ++bi) {
     const auto [begin, end] = blocks_[bi];
@@ -130,8 +111,9 @@ CoarseReport CoarseSession::search(std::span<const std::uint8_t> query) {
 
     std::uint32_t capacity = config_.block_output_capacity;
     for (;;) {
-      core::CoarseBlockOutput out = core::run_coarse_block(
-          engine_, kernel_config, device_query, device_block, capacity);
+      CoarseBlockOutput out = run_coarse_block(
+          engine_, config_, dynamic_queue_, device_query, device_block,
+          capacity);
       if (!out.overflowed) {
         engine_.transfer("d2h_extensions", out.d2h_bytes);
         report.result.counters.hits_detected += out.hits_detected;

@@ -22,9 +22,9 @@
 #include <utility>
 #include <vector>
 
+#include "baselines/coarse_block.hpp"
 #include "bio/database.hpp"
 #include "blast/types.hpp"
-#include "core/coarse_block.hpp"
 #include "core/device_data.hpp"
 #include "simt/engine.hpp"
 #include "simt/metrics.hpp"
@@ -62,11 +62,6 @@ struct CoarseReport {
 
   [[nodiscard]] double critical_ms() const { return kernel_ms; }
 };
-
-/// Kernel name in the profile registry. The fused kernel itself lives in
-/// core/coarse_block.hpp so the adaptive pre-filter router can reuse it;
-/// both callers share one profile row.
-inline constexpr const char* kCoarseKernel = core::kKernelCoarse;
 
 /// Long-lived baseline session — the coarse-grained counterpart of
 /// core::SearchSession, so throughput comparisons against the session API

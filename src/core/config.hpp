@@ -25,43 +25,6 @@ enum class ScoringMode {
   kBlosum,  ///< 2 kB BLOSUM62 always in shared memory
 };
 
-/// Whether the SSV-style pre-filter runs in front of the fine pipeline
-/// (DESIGN.md §13). The filter is lossless at the calibrated threshold, so
-/// every mode produces bit-identical results.
-enum class PrefilterMode {
-  kOff,   ///< every sequence enters the fine pipeline (legacy behaviour)
-  kOn,    ///< filter every block; survivors go to the fine pipeline
-  kAuto,  ///< filter, then route dense blocks to the coarse backend
-};
-
-/// Which backend served a database block (recorded per block in
-/// SearchReport::block_backends).
-enum class BlockBackend : std::uint8_t {
-  kFine,          ///< unfiltered fine pipeline (prefilter off or degraded)
-  kFineFiltered,  ///< fine pipeline over the pre-filter survivor list
-  kCoarse,        ///< fused coarse kernel (auto mode, dense block)
-  kCpu,           ///< degradation-ladder CPU fallback
-};
-
-[[nodiscard]] inline const char* prefilter_mode_name(PrefilterMode mode) {
-  switch (mode) {
-    case PrefilterMode::kOn: return "on";
-    case PrefilterMode::kAuto: return "auto";
-    case PrefilterMode::kOff: break;
-  }
-  return "off";
-}
-
-[[nodiscard]] inline const char* block_backend_name(BlockBackend backend) {
-  switch (backend) {
-    case BlockBackend::kFineFiltered: return "fine_filtered";
-    case BlockBackend::kCoarse: return "coarse";
-    case BlockBackend::kCpu: return "cpu";
-    case BlockBackend::kFine: break;
-  }
-  return "fine";
-}
-
 struct Config {
   blast::SearchParams params;
 
@@ -97,21 +60,6 @@ struct Config {
 
   /// Queries at most this long use the PSSM under ScoringMode::kAuto.
   std::size_t auto_pssm_max_query = 256;
-
-  /// SSV-style pre-filter in front of the fine pipeline (DESIGN.md §13).
-  PrefilterMode prefilter = PrefilterMode::kOff;
-
-  /// Pre-filter score threshold override. 0 (the default) derives the
-  /// lossless threshold from the Karlin-Altschul params: min(ungapped
-  /// cutoff, minimal E-value-significant score). Nonzero values override
-  /// it — values above the derived threshold trade sensitivity for speed
-  /// and void the losslessness guarantee.
-  int prefilter_threshold = 0;
-
-  /// Auto-mode backend switch (HMMER's BACKEND_SWITCH_THRESHOLD idea):
-  /// blocks whose survivor pass rate is at least this fraction are served
-  /// by the fused coarse kernel instead of the filtered fine pipeline.
-  double prefilter_backend_switch = 0.25;
 
   /// Database blocks for the CPU/GPU pipeline (paper Fig. 12).
   std::size_t db_blocks = 4;

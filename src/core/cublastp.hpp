@@ -16,22 +16,20 @@
 
 namespace repro::core {
 
-/// One engine shard's contribution to a query (schema v4 "shards" section;
-/// DESIGN.md §17): which contiguous database-block slice it owned, which
-/// backend served each of its blocks, how far down the degradation ladder
-/// it went, and the modeled device milliseconds it ran. A one-shard
-/// SearchSession reports exactly one summary (shard 0, every block), so
-/// the section shape is identical at every fleet size.
+/// One engine shard's contribution to a query (the report's "shards"
+/// section; DESIGN.md §17): which contiguous database-block slice it
+/// owned, how far down the degradation ladder it went, and the modeled
+/// device milliseconds it ran. A one-shard SearchSession reports exactly
+/// one summary (shard 0, every block), so the section shape is identical
+/// at every fleet size.
 struct ShardSummary {
   std::uint32_t shard = 0;        ///< fleet index
   std::uint32_t first_block = 0;  ///< global index of its first block
   std::uint32_t num_blocks = 0;   ///< contiguous blocks it owns
-  std::vector<BlockBackend> backends;  ///< per owned block, in block order
-  std::uint64_t retry_attempts = 0;    ///< failed ladder rungs, summed
-  std::uint64_t degraded_blocks = 0;   ///< blocks its CPU fallback served
+  std::uint64_t retry_attempts = 0;   ///< failed ladder rungs, summed
+  std::uint64_t degraded_blocks = 0;  ///< blocks its CPU fallback served
   std::uint64_t cache_off_retries = 0;
   std::uint64_t bin_overflow_retries = 0;
-  std::uint64_t prefilter_degraded_blocks = 0;
   double kernel_ms = 0.0;  ///< modeled device ms this shard executed
 };
 
@@ -58,8 +56,6 @@ struct SearchReport {
   double sort_ms = 0.0;
   double filter_ms = 0.0;
   double extension_ms = 0.0;
-  double prefilter_ms = 0.0;  ///< SSV pre-filter kernel (DESIGN.md §13)
-  double coarse_ms = 0.0;     ///< fused coarse backend (auto-mode routing)
   double h2d_ms = 0.0;
   double d2h_ms = 0.0;
 
@@ -85,38 +81,22 @@ struct SearchReport {
   // faults_encountered == 0, so callers can alert on any nonzero value.
   std::uint64_t degraded_blocks = 0;   ///< blocks served by the CPU fallback
   std::uint64_t cache_off_retries = 0; ///< blocks retried with rocache off
-  std::vector<std::uint32_t> retry_counts;  ///< per block: failed attempts
-  std::uint64_t faults_encountered = 0;     ///< injected faults absorbed
+  /// Per block: failed GPU attempts. 2 means both GPU rungs failed and the
+  /// CPU fallback served the block.
+  std::vector<std::uint32_t> retry_counts;
+  std::uint64_t faults_encountered = 0;  ///< injected faults absorbed
 
-  // Pre-filter observability (DESIGN.md §13): what the filter measured and
-  // which backend served each block. All zero / kFine when the filter is
-  // off — results are bit-identical in every mode.
-  PrefilterMode prefilter_mode = PrefilterMode::kOff;
-  int prefilter_threshold = 0;             ///< effective calibrated threshold
-  std::uint64_t prefilter_sequences = 0;   ///< sequences the filter scored
-  std::uint64_t prefilter_survivors = 0;   ///< sequences that passed
-  std::vector<BlockBackend> block_backends;  ///< per block: who served it
-  std::uint64_t prefilter_degraded_blocks = 0;  ///< filter failed, ran unfiltered
-
-  // Scatter–gather fleet observability (schema v4; DESIGN.md §17): one
-  // summary per engine shard, in shard (= global block) order. A
-  // single-engine search carries exactly one entry covering every block.
+  // Scatter–gather fleet observability (DESIGN.md §17): one summary per
+  // engine shard, in shard (= global block) order. A single-engine search
+  // carries exactly one entry covering every block.
   std::vector<ShardSummary> shards;
-
-  [[nodiscard]] double prefilter_pass_rate() const {
-    return prefilter_sequences == 0
-               ? 0.0
-               : static_cast<double>(prefilter_survivors) /
-                     static_cast<double>(prefilter_sequences);
-  }
 
   [[nodiscard]] bool degraded() const {
     return degraded_blocks != 0 || cache_off_retries != 0;
   }
 
   [[nodiscard]] double gpu_critical_ms() const {
-    return detection_ms + scan_ms + sort_ms + filter_ms +
-           extension_ms + prefilter_ms + coarse_ms;
+    return detection_ms + scan_ms + sort_ms + filter_ms + extension_ms;
   }
   /// "Hit sorting" as the paper groups it in Fig. 14: the bin scan + the
   /// segmented sort, which also assembles the bins.
@@ -124,12 +104,14 @@ struct SearchReport {
     return scan_ms + sort_ms;
   }
 
-  /// Machine-readable run report (schema "cublastp.search_report.v4"):
+  /// Machine-readable run report (schema "cublastp.search_report.v5"):
   /// phase times, pipeline totals, work counters, degradation ladder,
   /// hazards, and the full per-kernel profile — everything CI and bench
   /// scripts previously scraped from stdout. v3 added the top-level
-  /// `wall_ms` and terminal `status` fields; v4 adds the per-shard
-  /// `shards` section (DESIGN.md §17). See core/report.cpp.
+  /// `wall_ms` and terminal `status` fields; v4 added the per-shard
+  /// `shards` section (DESIGN.md §17); v5 drops the pre-filter section,
+  /// its two `gpu_ms` rows and each shard's `backends`. See
+  /// core/report.cpp.
   [[nodiscard]] std::string to_json() const;
 
   /// Human-readable phase/profile tables (util::Table) for --report.

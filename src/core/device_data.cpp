@@ -1,7 +1,6 @@
 #include "core/device_data.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "simt/simtcheck.hpp"
 
@@ -35,25 +34,6 @@ std::uint64_t QueryDevice::h2d_bytes() const {
          presence_bitmap.size() * sizeof(std::uint32_t) +
          pssm.size() * sizeof(std::int16_t) +
          blosum.size() * sizeof(std::int16_t) + query.size();
-}
-
-PrefilterDevice::PrefilterDevice(const bio::Pssm& host_pssm) {
-  simt::DeviceAllocSite site("core.prefilter_device");
-  constexpr std::size_t kRows = static_cast<std::size_t>(bio::kPaddedMatrixDim);
-  constexpr std::size_t kReal = static_cast<std::size_t>(bio::kAlphabetSize);
-  best_residue.assign(kRows, 0);
-  std::int32_t table_max = std::numeric_limits<std::int32_t>::min();
-  for (std::size_t r = 0; r < kReal; ++r) {
-    std::int32_t best = std::numeric_limits<std::int32_t>::min();
-    for (std::size_t pos = 0; pos < host_pssm.query_length(); ++pos)
-      best = std::max(best, static_cast<std::int32_t>(host_pssm.score(
-                                pos, static_cast<std::uint8_t>(r))));
-    best_residue[r] = best;
-    table_max = std::max(table_max, best);
-  }
-  // Padding rows can never hold real residues (the alphabet is 24 wide),
-  // but fill them with the table max so a stray gather only over-survives.
-  for (std::size_t r = kReal; r < kRows; ++r) best_residue[r] = table_max;
 }
 
 BlockDevice::BlockDevice(const bio::SequenceDatabase& db, std::size_t begin,

@@ -38,21 +38,6 @@ struct QueryDevice {
   }
 };
 
-/// Per-residue best-score table for the SSV-style pre-filter (DESIGN.md
-/// §13): entry r is max over query positions of pssm(pos, r), so a maximum
-/// subarray over the table bounds every ungapped extension score from
-/// above. Uploaded once per query ("h2d_prefilter") only when the filter
-/// is enabled, so disabled searches transfer exactly what they used to.
-struct PrefilterDevice {
-  simt::DeviceVector<std::int32_t> best_residue;  ///< kPaddedMatrixDim rows
-
-  explicit PrefilterDevice(const bio::Pssm& host_pssm);
-
-  [[nodiscard]] std::uint64_t h2d_bytes() const {
-    return best_residue.size() * sizeof(std::int32_t);
-  }
-};
-
 /// One database block staged to the device (paper Fig. 12 pipeline).
 struct BlockDevice {
   simt::DeviceVector<std::uint8_t> residues;

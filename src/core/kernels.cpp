@@ -38,8 +38,7 @@ constexpr std::uint64_t segment_key(std::uint64_t packed) {
 DetectionResult launch_hit_detection(simt::Engine& engine,
                                      const Config& config,
                                      const QueryDevice& query,
-                                     const BlockDevice& block, BinGrid& bins,
-                                     SurvivorView survivors) {
+                                     const BlockDevice& block, BinGrid& bins) {
   const int num_bins = bins.num_bins;
   if (num_bins <= 0 || (num_bins & (num_bins - 1)) != 0 ||
       num_bins > kDiagonalBias)
@@ -99,18 +98,7 @@ DetectionResult launch_hit_detection(simt::Engine& engine,
       const std::uint64_t warp_bin_base =
           static_cast<std::uint64_t>(gw) * static_cast<std::uint64_t>(num_bins);
 
-      const std::uint32_t num_items =
-          survivors.ids != nullptr ? survivors.count : block.num_seqs;
-      for (std::uint32_t item = gw; item < num_items; item += total_warps) {
-        std::uint32_t seq = item;
-        if (survivors.ids != nullptr) {
-          // Warp-uniform indirection through the survivor list.
-          LaneArray<std::uint32_t> vidx{};
-          LaneArray<std::uint32_t> vval{};
-          w.vec([&](int lane) { vidx[lane] = item; });
-          w.gather(survivors.ids, vidx, vval);
-          seq = vval[0];
-        }
+      for (std::uint32_t seq = gw; seq < block.num_seqs; seq += total_warps) {
         // Warp-uniform loads of the sequence extent (broadcast access).
         LaneArray<std::uint32_t> uidx{};
         LaneArray<std::uint32_t> lo{};

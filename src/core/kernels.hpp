@@ -31,15 +31,6 @@ struct DetectionResult {
   bool overflowed = false;
 };
 
-/// Optional pre-filter survivor list for hit detection (prefilter.hpp):
-/// when `ids` is set, detection iterates the `count` listed block-local
-/// sequence indices instead of every sequence. Default-constructed =
-/// unfiltered, with an instruction stream identical to the pre-filter era.
-struct SurvivorView {
-  const std::uint32_t* ids = nullptr;
-  std::uint32_t count = 0;
-};
-
 /// K1: warp-per-sequence, lane-per-word hit detection writing packed hits
 /// into the warp's bins (shared-memory top[] counters, paper Algorithm 2).
 /// Each bin's count is flushed clamped to the capacity: the hits it holds.
@@ -48,8 +39,7 @@ struct SurvivorView {
 DetectionResult launch_hit_detection(simt::Engine& engine,
                                      const Config& config,
                                      const QueryDevice& query,
-                                     const BlockDevice& block, BinGrid& bins,
-                                     SurvivorView survivors = {});
+                                     const BlockDevice& block, BinGrid& bins);
 
 /// The bins laid out back to back, unpadded. No two bins share a
 /// (sequence, diagonal) key: K1 files all hits of one diagonal of one

@@ -7,9 +7,7 @@
 
 #include "blast/ungapped.hpp"
 #include "core/bins.hpp"
-#include "core/coarse_block.hpp"
 #include "core/kernels.hpp"
-#include "core/prefilter.hpp"
 #include "simt/simtcheck.hpp"
 #include "util/fault.hpp"
 #include "util/timer.hpp"
@@ -120,17 +118,6 @@ void emit_modeled_cpu_slot(const char* name, std::size_t query_index,
                                           std::move(e));
 }
 
-/// Marks a block's filter pass as degraded (the block is re-served
-/// unfiltered inside the same rung — the filter never drops results).
-void note_prefilter_degraded(BlockLadderResult& result, std::size_t bi,
-                             const std::string& error) {
-  result.prefilter_degraded = true;
-  if (util::trace_enabled())
-    util::trace_instant("degrade.prefilter_off", "degrade",
-                        {util::targ("block", static_cast<std::uint64_t>(bi)),
-                         util::targ("error", error)});
-}
-
 }  // namespace
 
 Config normalized_config(Config config) {
@@ -149,9 +136,6 @@ Config normalized_config(Config config) {
   if (config.max_bin_capacity <
       static_cast<std::uint32_t>(config.bin_capacity))
     config.max_bin_capacity = static_cast<std::uint32_t>(config.bin_capacity);
-  if (config.prefilter_threshold < 0) config.prefilter_threshold = 0;
-  config.prefilter_backend_switch =
-      std::clamp(config.prefilter_backend_switch, 0.0, 1.0);
   return config;
 }
 
@@ -219,8 +203,7 @@ BlockOutcome run_block_on_gpu(simt::Engine& engine, const Config& config,
                               const BlockDevice& device_block,
                               std::optional<BinGrid>& bin_grid,
                               std::uint32_t& bin_capacity,
-                              std::uint64_t& overflow_retries,
-                              SurvivorView survivors) {
+                              std::uint64_t& overflow_retries) {
   BlockOutcome out;
   // Every scratch allocation of the fine K3-K5 chain reports under one
   // leakcheck site — they must all die with this query. The bin grid is
@@ -233,8 +216,8 @@ BlockOutcome run_block_on_gpu(simt::Engine& engine, const Config& config,
   for (int retry = 0;; ++retry) {
     BinGrid& bins = arm_bin_grid(bin_grid, config.detection_warps(),
                                  config.num_bins_per_warp, bin_capacity);
-    const DetectionResult detection = launch_hit_detection(
-        engine, config, query, device_block, bins, survivors);
+    const DetectionResult detection =
+        launch_hit_detection(engine, config, query, device_block, bins);
     if (!detection.overflowed) {
       // Bin scan, K3, K4.
       AssembledBins assembled = launch_assemble(engine, bins);
@@ -277,49 +260,6 @@ BlockOutcome run_block_on_gpu(simt::Engine& engine, const Config& config,
   }
 }
 
-BlockOutcome run_block_on_coarse(simt::Engine& engine, const Config& config,
-                                 const QueryDevice& query,
-                                 const BlockDevice& device_block,
-                                 std::uint64_t& overflow_retries) {
-  simt::DeviceAllocSite site("core.coarse_pipeline");
-  CoarseBlockConfig coarse;
-  coarse.params = config.params;
-  // Static assignment: deterministic for any engine worker count (the
-  // dynamic ticket queue hands out sequences in claim order).
-  coarse.dynamic_queue = false;
-
-  std::uint32_t capacity = 4096;
-  for (int retry = 0;; ++retry) {
-    CoarseBlockOutput kernel_out =
-        run_coarse_block(engine, coarse, query, device_block, capacity);
-    if (!kernel_out.overflowed) {
-      engine.transfer("d2h_extensions", kernel_out.d2h_bytes);
-      BlockOutcome out;
-      out.hits_detected = kernel_out.hits_detected;
-      // The fused kernel has no separate filter/extension stages: every
-      // two-hit trigger runs an inline extension, matching the CPU
-      // fallback's counter semantics.
-      out.hits_after_filter = kernel_out.extensions_run;
-      out.ungapped_extensions = kernel_out.extensions_run;
-      out.extensions = std::move(kernel_out.extensions);
-      for (auto& ext : out.extensions) ext.seq += device_block.first_seq;
-      return out;
-    }
-    ++overflow_retries;
-    if (util::trace_enabled())
-      util::trace_instant(
-          "coarse_output_retry", "degrade",
-          {util::targ("retry", retry),
-           util::targ("capacity", static_cast<std::uint64_t>(capacity))});
-    if (retry >= config.max_bin_retries)
-      throw SearchError(
-          SearchErrorCode::kBinOverflowExhausted,
-          "coarse output overflow persisted after " +
-              std::to_string(config.max_bin_retries) + " capacity retries");
-    capacity *= 2;
-  }
-}
-
 BlockOutcome run_block_on_cpu(const blast::WordLookup& lookup,
                               const bio::Pssm& pssm,
                               const bio::SequenceDatabase& db,
@@ -355,8 +295,6 @@ BlockLadderResult run_block_ladder(simt::Engine& engine, const Config& config,
                                    std::optional<BinGrid>& bin_grid,
                                    std::uint32_t& bin_capacity,
                                    std::uint64_t& overflow_retries,
-                                   const PrefilterDevice* prefilter,
-                                   int prefilter_threshold,
                                    const CancellationToken& cancel) {
   cancel.throw_if_stopped("block_ladder.entry");
   // The ladder toggles the read-only cache per rung; restore the configured
@@ -370,15 +308,9 @@ BlockLadderResult run_block_ladder(simt::Engine& engine, const Config& config,
 
   BlockLadderResult result;
   std::optional<BlockOutcome> outcome;
-  // Kept outside the rung loop: the survivor indices feed the
-  // words-scanned accounting after the ladder settles.
-  std::optional<PrefilterResult> filter;
 
-  // Rung 1: the fine-grained GPU pipeline (bounded bin-capacity growth),
-  //         behind the pre-filter router when the filter is enabled. A
-  //         filter failure is absorbed here: the rung re-serves the block
-  //         unfiltered rather than falling down the ladder.
-  // Rung 2: one more unfiltered GPU attempt, read-only cache disabled.
+  // Rung 1: the fine-grained GPU pipeline (bounded bin-capacity growth).
+  // Rung 2: one more GPU attempt, read-only cache disabled.
   // Rung 3: the block's critical phases on the CPU (FSA path).
   //
   // Every rung produces the same extension set, so alignments stay
@@ -398,51 +330,9 @@ BlockLadderResult run_block_ladder(simt::Engine& engine, const Config& config,
     std::string failure;
     try {
       const BlockDevice& device_block = residency.ensure(engine, bi);
-      if (rung == 0 && prefilter != nullptr) {
-        try {
-          filter = run_prefilter(engine, attempt_config, *prefilter,
-                                 device_block, prefilter_threshold);
-        } catch (const SearchError& e) {
-          note_prefilter_degraded(result, bi, e.what());
-        } catch (const simt::DeviceError& e) {
-          note_prefilter_degraded(result, bi, e.what());
-        } catch (const util::FaultInjectedError& e) {
-          note_prefilter_degraded(result, bi, e.what());
-        } catch (const std::bad_alloc&) {
-          note_prefilter_degraded(result, bi, "std::bad_alloc");
-        }
-      }
-      if (filter.has_value()) {
-        result.prefilter_seqs = filter->num_seqs;
-        result.prefilter_survivors = filter->num_survivors;
-        if (config.prefilter == PrefilterMode::kAuto &&
-            filter->pass_rate() >= config.prefilter_backend_switch) {
-          // Dense block: the survivor indirection would barely thin the
-          // work, so the fused coarse kernel's single launch wins.
-          outcome = run_block_on_coarse(engine, attempt_config, ctx.device,
-                                        device_block, overflow_retries);
-          result.backend = BlockBackend::kCoarse;
-        } else if (filter->num_survivors == 0) {
-          // Nothing survived: the block provably contributes no
-          // extensions, so skip the fine pipeline entirely. (An empty
-          // DeviceVector's data() is null, which SurvivorView would read
-          // as "unfiltered" — this branch also keeps that sentinel safe.)
-          outcome.emplace();
-          result.backend = BlockBackend::kFineFiltered;
-        } else {
-          const SurvivorView view{filter->survivors.data(),
-                                  filter->num_survivors};
-          outcome = run_block_on_gpu(engine, attempt_config, ctx.device,
-                                     device_block, bin_grid, bin_capacity,
-                                     overflow_retries, view);
-          result.backend = BlockBackend::kFineFiltered;
-        }
-      } else {
-        outcome = run_block_on_gpu(engine, attempt_config, ctx.device,
-                                   device_block, bin_grid, bin_capacity,
-                                   overflow_retries);
-        result.backend = BlockBackend::kFine;
-      }
+      outcome = run_block_on_gpu(engine, attempt_config, ctx.device,
+                                 device_block, bin_grid, bin_capacity,
+                                 overflow_retries);
     } catch (const SearchError& e) {
       failure = e.what();
     } catch (const simt::DeviceError& e) {
@@ -451,13 +341,6 @@ BlockLadderResult run_block_ladder(simt::Engine& engine, const Config& config,
       failure = e.what();
     } catch (const std::bad_alloc&) {
       failure = "std::bad_alloc";
-    }
-    // A rung that failed after a successful filter pass must not leave the
-    // next (unfiltered) rung mislabeled as filtered.
-    if (!outcome && filter.has_value()) {
-      filter.reset();
-      result.prefilter_seqs = 0;
-      result.prefilter_survivors = 0;
     }
     // Anything else — std::invalid_argument contract violations above
     // all — propagates: a retry cannot fix a malformed launch, and the
@@ -497,23 +380,14 @@ BlockLadderResult run_block_ladder(simt::Engine& engine, const Config& config,
               "CPU fallback: " + e.what());
     }
     result.degraded = true;
-    result.backend = BlockBackend::kCpu;
   }
 
-  // Words-scanned accounting follows the serving backend: the filtered
-  // fine path only scans survivors; every other backend walks the block.
+  // Every rung scans every word position of the block.
   const auto word_length = static_cast<std::size_t>(config.params.word_length);
   const auto [begin, end] = residency.range(bi);
-  if (result.backend == BlockBackend::kFineFiltered && filter.has_value()) {
-    for (std::uint32_t i = 0; i < filter->num_survivors; ++i) {
-      const std::size_t len = db.length(begin + filter->survivors[i]);
-      if (len >= word_length) result.words_scanned += len - word_length + 1;
-    }
-  } else {
-    for (std::size_t s = begin; s < end; ++s)
-      if (db.length(s) >= word_length)
-        result.words_scanned += db.length(s) - word_length + 1;
-  }
+  for (std::size_t s = begin; s < end; ++s)
+    if (db.length(s) >= word_length)
+      result.words_scanned += db.length(s) - word_length + 1;
 
   result.outcome = std::move(*outcome);
   return result;

@@ -108,19 +108,7 @@ struct BlockOutcome {
                                             const BlockDevice& block,
                                             std::optional<BinGrid>& bin_grid,
                                             std::uint32_t& bin_capacity,
-                                            std::uint64_t& overflow_retries,
-                                            SurvivorView survivors = {});
-
-/// The coarse backend for one block (auto-mode dense-block routing): the
-/// fused kernel of core/coarse_block.hpp with bounded output-capacity
-/// growth, normalized to the same BlockOutcome contract as the fine path.
-/// Produces the identical qualifying-extension set — the gapped stage
-/// sorts and de-duplicates, so emission order differences are invisible.
-[[nodiscard]] BlockOutcome run_block_on_coarse(simt::Engine& engine,
-                                               const Config& config,
-                                               const QueryDevice& query,
-                                               const BlockDevice& block,
-                                               std::uint64_t& overflow_retries);
+                                            std::uint64_t& overflow_retries);
 
 /// The last rung of the ladder: the block's critical phases on the host,
 /// via the same scalar routines the FSA-BLAST baseline runs. Produces the
@@ -139,22 +127,12 @@ struct BlockLadderResult {
   std::uint32_t failed_attempts = 0;  ///< GPU rungs that failed (0..2)
   bool cache_off_retry = false;       ///< rung 2 was attempted
   bool degraded = false;              ///< rung 3 (CPU fallback) served it
-  BlockBackend backend = BlockBackend::kFine;  ///< who served the block
-  std::uint64_t prefilter_seqs = 0;       ///< sequences the filter scored
-  std::uint64_t prefilter_survivors = 0;  ///< sequences that passed
-  bool prefilter_degraded = false;  ///< filter failed; served unfiltered
-  /// Words the serving backend actually scanned: survivor words when the
-  /// filtered fine path served the block, the whole block otherwise.
-  std::uint64_t words_scanned = 0;
+  std::uint64_t words_scanned = 0;    ///< word positions in the block
 };
 
 /// Stage 3: one database block through the full degradation ladder —
-/// rung 1 the fine-grained GPU pipeline (behind the pre-filter router when
-/// `prefilter` is non-null: kOn serves survivors on the fine path, kAuto
-/// additionally routes dense blocks to the coarse backend), rung 2 one
-/// more unfiltered GPU attempt with the read-only cache disabled, rung 3
-/// the CPU fallback. A filter failure degrades to the unfiltered fine path
-/// inside rung 1 — the filter can only be skipped, never drop results.
+/// rung 1 the fine-grained GPU pipeline, rung 2 one more GPU attempt with
+/// the read-only cache disabled, rung 3 the CPU fallback (DESIGN.md §9).
 /// Both GPU rungs bin into the grid of `bin_grid` (run_block_on_gpu).
 /// Every rung produces the same extension set. Restores the engine's cache
 /// setting to `config.use_readonly_cache` before returning (also when the
@@ -171,9 +149,7 @@ struct BlockLadderResult {
     const bio::SequenceDatabase& db, BlockResidency& residency,
     std::size_t bi, std::optional<BinGrid>& bin_grid,
     std::uint32_t& bin_capacity,
-    std::uint64_t& overflow_retries,
-    const PrefilterDevice* prefilter = nullptr, int prefilter_threshold = 0,
-    const CancellationToken& cancel = {});
+    std::uint64_t& overflow_retries, const CancellationToken& cancel = {});
 
 /// Stage 4 result for one block: gapped/traceback work, modeled makespans,
 /// and (while tracing) the greedy schedule placements the modeled Fig. 12

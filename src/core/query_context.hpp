@@ -31,8 +31,8 @@ struct QueryContext {
   QueryDevice device;
 
   /// The e-value calculator's search space is the whole of `db`, so every
-  /// shard of a session derives the same cutoffs, e-values and pre-filter
-  /// threshold, whichever blocks it holds.
+  /// shard of a session derives the same cutoffs and e-values, whichever
+  /// blocks it holds.
   QueryContext(std::span<const std::uint8_t> query_residues,
                const bio::SequenceDatabase& db, const Config& config);
 };

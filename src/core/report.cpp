@@ -1,14 +1,18 @@
 // SearchReport serialization: the machine-readable JSON run report
-// (schema "cublastp.search_report.v4") and the human-readable --report
+// (schema "cublastp.search_report.v5") and the human-readable --report
 // tables. Everything CI and the bench scripts previously scraped from
-// stdout lives here in one stable schema. v2 added the "prefilter" section
-// (mode, threshold, pass rate, per-block backend choices; DESIGN.md §13)
-// and the ssv_prefilter / coarse_fused rows in "gpu_ms"; v3 added the
-// top-level "wall_ms" and terminal "status" fields (ok | degraded |
-// cancelled | deadline_exceeded | rejected) so service-layer consumers can
-// read the request's fate without parsing counters; v4 adds the per-shard
-// "shards" section (engine-shard fleet observability; DESIGN.md §17) and
-// the batch report's top-level "shards" fleet size.
+// stdout lives here in one stable schema. v2 added a pre-filter section
+// (mode, threshold, pass rate, per-block backend choices) and the filter
+// and fused-coarse-kernel rows in "gpu_ms"; v3 added the top-level
+// "wall_ms" and terminal "status" fields (ok | degraded | cancelled |
+// deadline_exceeded | rejected) so service-layer consumers can read the
+// request's fate without parsing counters; v4 added the per-shard "shards"
+// section (engine-shard fleet observability; DESIGN.md §17) and the batch
+// report's top-level "shards" fleet size; v5 removes what v2 added, with
+// the pre-filter itself (DESIGN.md §13): both reports' pre-filter
+// sections, the two "gpu_ms" rows, and each shard's per-block backend
+// list and filter-degraded count. A "degradation.retry_counts" entry of 2
+// says both GPU rungs failed and the CPU fallback served the block.
 #include <algorithm>
 #include <cstdint>
 #include <string>
@@ -47,7 +51,7 @@ void append_kv(std::string& out, const char* key, std::uint64_t value,
 std::string SearchReport::to_json() const {
   std::string out;
   out.reserve(4096);
-  out += "{\"schema\":\"cublastp.search_report.v4\",";
+  out += "{\"schema\":\"cublastp.search_report.v5\",";
 
   // Terminal status + host wall clock (v3).
   out += json_str("status");
@@ -63,8 +67,6 @@ std::string SearchReport::to_json() const {
   append_kv(out, "hit_sort", sort_ms);
   append_kv(out, "hit_filter", filter_ms);
   append_kv(out, "ungapped_extension", extension_ms);
-  append_kv(out, "ssv_prefilter", prefilter_ms);
-  append_kv(out, "coarse_fused", coarse_ms);
   append_kv(out, "h2d", h2d_ms);
   append_kv(out, "d2h", d2h_ms);
   append_kv(out, "gpu_critical", gpu_critical_ms());
@@ -119,29 +121,6 @@ std::string SearchReport::to_json() const {
   }
   out += "]},";
 
-  // Pre-filter stage and adaptive backend routing (DESIGN.md §13).
-  out += "\"prefilter\":{";
-  out += json_str("mode");
-  out += ':';
-  out += json_str(prefilter_mode_name(prefilter_mode));
-  out += ',';
-  append_kv(out, "threshold", static_cast<std::uint64_t>(
-                                  prefilter_threshold < 0
-                                      ? 0
-                                      : prefilter_threshold));
-  append_kv(out, "sequences_scored", prefilter_sequences);
-  append_kv(out, "survivors", prefilter_survivors);
-  append_kv(out, "pass_rate", prefilter_pass_rate());
-  append_kv(out, "kernel_ms", prefilter_ms);
-  append_kv(out, "coarse_kernel_ms", coarse_ms);
-  append_kv(out, "degraded_blocks", prefilter_degraded_blocks);
-  out += "\"block_backends\":[";
-  for (std::size_t i = 0; i < block_backends.size(); ++i) {
-    if (i) out += ',';
-    out += json_str(block_backend_name(block_backends[i]));
-  }
-  out += "]},";
-
   // Scatter–gather fleet (v4; DESIGN.md §17): one entry per engine shard
   // in shard (= global block) order. Single-engine searches carry exactly
   // one entry covering every block, so the shape is K-independent.
@@ -157,14 +136,8 @@ std::string SearchReport::to_json() const {
     append_kv(out, "degraded_blocks", s.degraded_blocks);
     append_kv(out, "cache_off_retries", s.cache_off_retries);
     append_kv(out, "bin_overflow_retries", s.bin_overflow_retries);
-    append_kv(out, "prefilter_degraded_blocks", s.prefilter_degraded_blocks);
-    append_kv(out, "kernel_ms", s.kernel_ms);
-    out += "\"backends\":[";
-    for (std::size_t b = 0; b < s.backends.size(); ++b) {
-      if (b) out += ',';
-      out += json_str(block_backend_name(s.backends[b]));
-    }
-    out += "]}";
+    append_kv(out, "kernel_ms", s.kernel_ms, false);
+    out += '}';
   }
   out += "],";
 
@@ -243,17 +216,11 @@ std::string SearchReport::to_json() const {
 std::string BatchReport::to_json() const {
   std::string out;
   out.reserve(4096 * (reports.size() + 1));
-  out += "{\"schema\":\"cublastp.batch_report.v4\",";
+  out += "{\"schema\":\"cublastp.batch_report.v5\",";
   append_kv(out, "queries", static_cast<std::uint64_t>(reports.size()));
   append_kv(out, "shards", static_cast<std::uint64_t>(shards));
   append_kv(out, "batch_wall_seconds", batch_wall_seconds);
   append_kv(out, "queries_per_second", queries_per_second());
-
-  out += "\"prefilter\":{";
-  append_kv(out, "sequences_scored", prefilter_sequences);
-  append_kv(out, "survivors", prefilter_survivors);
-  append_kv(out, "pass_rate", prefilter_pass_rate(), false);
-  out += "},";
 
   out += "\"modeled\":{";
   append_kv(out, "batch_seconds", modeled_batch_seconds);
@@ -285,7 +252,7 @@ std::string BatchReport::to_json() const {
   }
   out += "],";
 
-  // Full per-query documents, reusing the search_report.v4 schema so every
+  // Full per-query documents, reusing the search_report.v5 schema so every
   // existing consumer of --report-json keeps working per query.
   out += "\"reports\":[";
   for (std::size_t i = 0; i < reports.size(); ++i) {
@@ -300,12 +267,6 @@ std::string SearchReport::to_table() const {
   std::string out;
 
   util::Table phases({"phase", "time", "unit"});
-  if (prefilter_mode != PrefilterMode::kOff) {
-    phases.add_row({"ssv pre-filter (GPU)",
-                    util::Table::num(prefilter_ms, 3), "ms"});
-    phases.add_row({"coarse backend (GPU)", util::Table::num(coarse_ms, 3),
-                    "ms"});
-  }
   phases.add_row({"hit detection (GPU)", util::Table::num(detection_ms, 3),
                   "ms"});
   phases.add_row({"bin scan (GPU)", util::Table::num(scan_ms, 3), "ms"});
@@ -348,29 +309,6 @@ std::string SearchReport::to_table() const {
                         result.counters.filter_survival_ratio() * 100.0, 1) +
                         " %"});
   out += counters.render();
-
-  if (prefilter_mode != PrefilterMode::kOff) {
-    out += '\n';
-    std::size_t coarse_blocks = 0;
-    std::size_t filtered_blocks = 0;
-    for (const BlockBackend b : block_backends) {
-      if (b == BlockBackend::kCoarse) ++coarse_blocks;
-      if (b == BlockBackend::kFineFiltered) ++filtered_blocks;
-    }
-    util::Table pre({"pre-filter", "value"});
-    pre.add_row({"mode", prefilter_mode_name(prefilter_mode)});
-    pre.add_row({"threshold", std::to_string(prefilter_threshold)});
-    pre.add_row({"sequences scored", std::to_string(prefilter_sequences)});
-    pre.add_row({"survivors", std::to_string(prefilter_survivors)});
-    pre.add_row(
-        {"pass rate", util::Table::num(prefilter_pass_rate() * 100.0, 1) +
-                          " %"});
-    pre.add_row({"fine(filtered) blocks", std::to_string(filtered_blocks)});
-    pre.add_row({"coarse blocks", std::to_string(coarse_blocks)});
-    pre.add_row({"filter-degraded blocks",
-                 std::to_string(prefilter_degraded_blocks)});
-    out += pre.render();
-  }
 
   if (degraded() || bin_overflow_retries != 0 || faults_encountered != 0) {
     out += '\n';

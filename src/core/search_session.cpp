@@ -8,9 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/coarse_block.hpp"
 #include "core/errors.hpp"
-#include "core/prefilter.hpp"
 #include "core/query_context.hpp"
 #include "simt/simtcheck.hpp"
 #include "util/fault.hpp"
@@ -187,10 +185,6 @@ SearchSession::QueryRun SearchSession::run_query(
   prep_span.end();
   run.modeled.prep_s = prep_timer.seconds();
 
-  report.prefilter_mode = config_.prefilter;
-  if (config_.prefilter != PrefilterMode::kOff)
-    report.prefilter_threshold = prefilter_threshold_for(config_, ctx.evalue);
-
   // --- stages 2+3: each shard's GPU half, in shard order -----------------
   // Shard order is global block order, so the launch and fault-point
   // sequence is the same at every shard count.
@@ -205,16 +199,12 @@ SearchSession::QueryRun SearchSession::run_query(
     report.bin_overflow_retries += gpu.bin_overflow_retries;
     report.cache_off_retries += gpu.cache_off_retries;
     report.degraded_blocks += gpu.degraded_blocks;
-    report.prefilter_sequences += gpu.prefilter_sequences;
-    report.prefilter_survivors += gpu.prefilter_survivors;
-    report.prefilter_degraded_blocks += gpu.prefilter_degraded_blocks;
     counters.hits_detected += gpu.hits_detected;
     counters.hits_after_filter += gpu.hits_after_filter;
     counters.ungapped_extensions += gpu.ungapped_extensions;
     counters.words_scanned += gpu.words_scanned;
 
     append(report.retry_counts, std::move(gpu.retry_counts));
-    append(report.block_backends, std::move(gpu.block_backends));
     append(block_extensions, std::move(gpu.block_extensions));
     append(block_gpu_ms, std::move(gpu.block_gpu_ms));
     append(block_fallback_s, std::move(gpu.block_fallback_s));
@@ -273,14 +263,9 @@ SearchSession::QueryRun SearchSession::run_query(
   report.sort_ms = kernel_ms(report.profile, kKernelSort);
   report.filter_ms = kernel_ms(report.profile, kKernelFilter);
   report.extension_ms = kernel_ms(report.profile, kKernelExtension);
-  report.prefilter_ms = kernel_ms(report.profile, kKernelPrefilter);
-  report.coarse_ms = kernel_ms(report.profile, kKernelCoarse);
   report.h2d_ms = kernel_ms(report.profile, "h2d_query") +
-                  kernel_ms(report.profile, "h2d_block") +
-                  kernel_ms(report.profile, "h2d_prefilter") +
-                  kernel_ms(report.profile, "h2d_survivors");
-  report.d2h_ms = kernel_ms(report.profile, "d2h_extensions") +
-                  kernel_ms(report.profile, "d2h_prefilter");
+                  kernel_ms(report.profile, "h2d_block");
+  report.d2h_ms = kernel_ms(report.profile, "d2h_extensions");
 
   const PipelineTotals totals = walk_pipeline(
       run.modeled.blocks, config_.cpu_threads, emit_modeled_trace);
@@ -292,12 +277,10 @@ SearchSession::QueryRun SearchSession::run_query(
 
   // Map into the common PhaseTimings (GPU ms -> seconds). Degraded blocks
   // fold their host-side critical-phase cost into hit detection, where the
-  // work they replaced lives; so do the pre-filter and coarse-backend
-  // kernels, which substitute for (parts of) hit detection.
+  // work they replaced lives.
   report.result.timings.hit_detection =
       (report.detection_ms + report.scan_ms + report.sort_ms +
-       report.filter_ms + report.prefilter_ms + report.coarse_ms) /
-          1e3 +
+       report.filter_ms) / 1e3 +
       fallback_seconds;
   report.result.timings.ungapped_extension = report.extension_ms / 1e3;
   report.result.timings.gapped_extension = report.gapped_seconds;
@@ -324,10 +307,6 @@ SearchSession::QueryRun SearchSession::run_query(
   registry.counter("core.cache_off_retries").add(report.cache_off_retries);
   registry.counter("core.degraded_blocks").add(report.degraded_blocks);
   registry.counter("core.faults_absorbed").add(report.faults_encountered);
-  registry.counter("core.prefilter_sequences").add(report.prefilter_sequences);
-  registry.counter("core.prefilter_survivors").add(report.prefilter_survivors);
-  registry.counter("core.prefilter_degraded_blocks")
-      .add(report.prefilter_degraded_blocks);
   registry.histogram("core.search_wall_seconds").observe(run.wall_seconds);
 
   // Continuous profiler: fold this query's per-kernel delta into the
@@ -440,8 +419,6 @@ BatchReport SearchSession::search_batch(
     }
 
     batch.per_query_wall_seconds.push_back(run.wall_seconds);
-    batch.prefilter_sequences += run.report.prefilter_sequences;
-    batch.prefilter_survivors += run.report.prefilter_survivors;
     batch.reports.push_back(std::move(run.report));
   }
 

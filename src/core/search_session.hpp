@@ -72,18 +72,6 @@ struct BatchReport {
   std::uint64_t db_device_bytes = 0;    ///< full device image (what each
                                         ///< sequential search would upload)
 
-  // Pre-filter aggregates summed over the per-query reports (DESIGN.md
-  // §13). Zero when Config::prefilter is off.
-  std::uint64_t prefilter_sequences = 0;
-  std::uint64_t prefilter_survivors = 0;
-
-  [[nodiscard]] double prefilter_pass_rate() const {
-    return prefilter_sequences == 0
-               ? 0.0
-               : static_cast<double>(prefilter_survivors) /
-                     static_cast<double>(prefilter_sequences);
-  }
-
   [[nodiscard]] double queries_per_second() const {
     return batch_wall_seconds > 0.0
                ? static_cast<double>(reports.size()) / batch_wall_seconds
@@ -105,8 +93,8 @@ struct BatchReport {
   std::size_t shards = 1;
 
   /// One machine-readable document for the whole batch (schema
-  /// "cublastp.batch_report.v4"): batch aggregates, the per-query terminal
-  /// "statuses" array, plus the full per-query search_report.v4 objects.
+  /// "cublastp.batch_report.v5"): batch aggregates, the per-query terminal
+  /// "statuses" array, plus the full per-query search_report.v5 objects.
   /// See core/report.cpp.
   [[nodiscard]] std::string to_json() const;
 };

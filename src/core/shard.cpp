@@ -1,12 +1,8 @@
 #include "core/shard.hpp"
 
-#include <new>
-#include <optional>
 #include <string>
 #include <utility>
 
-#include "core/prefilter.hpp"
-#include "util/fault.hpp"
 #include "util/trace.hpp"
 
 namespace repro::core {
@@ -16,14 +12,12 @@ ShardSummary summarize_shard(std::size_t shard_index, std::size_t first_block,
   ShardSummary summary;
   summary.shard = static_cast<std::uint32_t>(shard_index);
   summary.first_block = static_cast<std::uint32_t>(first_block);
-  summary.num_blocks = static_cast<std::uint32_t>(gpu.block_backends.size());
-  summary.backends = gpu.block_backends;
+  summary.num_blocks = static_cast<std::uint32_t>(gpu.retry_counts.size());
   for (const std::uint32_t attempts : gpu.retry_counts)
     summary.retry_attempts += attempts;
   summary.degraded_blocks = gpu.degraded_blocks;
   summary.cache_off_retries = gpu.cache_off_retries;
   summary.bin_overflow_retries = gpu.bin_overflow_retries;
-  summary.prefilter_degraded_blocks = gpu.prefilter_degraded_blocks;
   summary.kernel_ms = gpu.profile_delta.total_time_ms();
   return summary;
 }
@@ -75,39 +69,7 @@ ShardGpuResult EngineShard::run_gpu_blocks(const QueryContext& ctx,
 
   const std::size_t num_blocks = residency_.num_blocks();
 
-  // --- SSV pre-filter table (DESIGN.md §13) ------------------------------
-  // Built per query (it depends on the PSSM) and uploaded once per shard;
-  // every owned block's filter launch reads it. A failure here is
-  // recoverable: this shard degrades to the unfiltered path — its siblings
-  // keep filtering — and never drops results. The threshold derives from
-  // the aggregate-search-space e-value calculator inside `ctx`, so every
-  // shard filters at the identical score.
-  std::optional<PrefilterDevice> prefilter;
-  int prefilter_threshold = 0;
-  if (config_->prefilter != PrefilterMode::kOff) {
-    prefilter_threshold = prefilter_threshold_for(*config_, ctx.evalue);
-    try {
-      prefilter.emplace(ctx.pssm);
-      engine_.transfer("h2d_prefilter", prefilter->h2d_bytes());
-    } catch (const simt::DeviceError&) {
-      prefilter.reset();
-    } catch (const util::FaultInjectedError&) {
-      prefilter.reset();
-    } catch (const std::bad_alloc&) {
-      prefilter.reset();
-    }
-    if (!prefilter.has_value()) {
-      // Every block of this shard is served unfiltered.
-      out.prefilter_degraded_blocks = num_blocks;
-      if (util::trace_enabled())
-        util::trace_instant(
-            "degrade.prefilter_off", "degrade",
-            {util::targ("blocks", static_cast<std::uint64_t>(num_blocks))});
-    }
-  }
-
   out.retry_counts.assign(num_blocks, 0);
-  out.block_backends.reserve(num_blocks);
   out.block_extensions.resize(num_blocks);
   out.block_fallback_s.assign(num_blocks, 0.0);
   out.block_gpu_ms.assign(num_blocks, 0.0);
@@ -132,19 +94,14 @@ ShardGpuResult EngineShard::run_gpu_blocks(const QueryContext& ctx,
     }
     const double gpu_ms_before = engine_.profile().total_time_ms();
 
-    BlockLadderResult ladder = run_block_ladder(
-        engine_, *config_, ctx, *db_, residency_, bi, bin_grid_, bin_capacity,
-        out.bin_overflow_retries,
-        prefilter.has_value() ? &*prefilter : nullptr, prefilter_threshold,
-        cancel);
+    BlockLadderResult ladder =
+        run_block_ladder(engine_, *config_, ctx, *db_, residency_, bi,
+                         bin_grid_, bin_capacity, out.bin_overflow_retries,
+                         cancel);
 
     out.retry_counts[bi] = ladder.failed_attempts;
     if (ladder.cache_off_retry) ++out.cache_off_retries;
     if (ladder.degraded) ++out.degraded_blocks;
-    out.block_backends.push_back(ladder.backend);
-    out.prefilter_sequences += ladder.prefilter_seqs;
-    out.prefilter_survivors += ladder.prefilter_survivors;
-    if (ladder.prefilter_degraded) ++out.prefilter_degraded_blocks;
 
     out.hits_detected += ladder.outcome.hits_detected;
     out.hits_after_filter += ladder.outcome.hits_after_filter;

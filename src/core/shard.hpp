@@ -1,15 +1,14 @@
 // EngineShard: one modeled GPU's worth of the search fleet (DESIGN.md §17).
 //
 // A shard owns the per-device state of one modeled GPU — a simt::Engine,
-// the device residency of its contiguous database-block slice, the bin grid
-// every block attempt re-arms, and the per-query pre-filter device table —
-// and runs the GPU half of a query over its blocks: the h2d_query upload,
-// the per-query filter table, and every owned block through the
-// degradation ladder. It holds no query-global state: cutoffs and
-// thresholds come from the QueryContext the session built over the whole
-// database, which is what makes K shards' merged results bit-identical to
-// one engine's. A core::SearchSession owns K of them (K=1 by default) and
-// runs them in shard order on its calling thread.
+// the device residency of its contiguous database-block slice, and the bin
+// grid every block attempt re-arms — and runs the GPU half of a query over
+// its blocks: the h2d_query upload, then every owned block through the
+// degradation ladder. It holds no query-global state: cutoffs come from
+// the QueryContext the session built over the whole database, which is
+// what makes K shards' merged results bit-identical to one engine's. A
+// core::SearchSession owns K of them (K=1 by default) and runs them in
+// shard order on its calling thread.
 #pragma once
 
 #include <cstdint>
@@ -33,17 +32,13 @@ namespace repro::core {
 /// reproduces the single-engine per-block sequence exactly.
 struct ShardGpuResult {
   std::vector<std::vector<blast::UngappedExtension>> block_extensions;
-  std::vector<std::uint32_t> retry_counts;   ///< failed attempts per block
-  std::vector<BlockBackend> block_backends;  ///< who served each block
+  std::vector<std::uint32_t> retry_counts;  ///< failed attempts per block
   std::vector<double> block_fallback_s;
   std::vector<double> block_gpu_ms;
 
   std::uint64_t bin_overflow_retries = 0;
   std::uint64_t cache_off_retries = 0;
   std::uint64_t degraded_blocks = 0;
-  std::uint64_t prefilter_sequences = 0;
-  std::uint64_t prefilter_survivors = 0;
-  std::uint64_t prefilter_degraded_blocks = 0;
 
   std::uint64_t hits_detected = 0;
   std::uint64_t hits_after_filter = 0;
@@ -54,7 +49,7 @@ struct ShardGpuResult {
   simt::HazardReport hazards;           ///< simtcheck findings, this shard
 };
 
-/// The v4 report's per-shard section for one finished GPU half.
+/// The report's per-shard section for one finished GPU half.
 [[nodiscard]] ShardSummary summarize_shard(std::size_t shard_index,
                                            std::size_t first_block,
                                            const ShardGpuResult& gpu);
@@ -74,11 +69,10 @@ class EngineShard {
   EngineShard& operator=(const EngineShard&) = delete;
 
   /// The GPU half of one query over this shard's blocks: query upload,
-  /// per-query pre-filter table (failure degrades the shard to the
-  /// unfiltered path — never drops results), then every owned block
-  /// through the degradation ladder with the per-shard bin-capacity
-  /// adaptation. Polls `cancel` at block boundaries and installs its root
-  /// flag on the engine for launch-level cancellation. One query at a time.
+  /// then every owned block through the degradation ladder with the
+  /// per-shard bin-capacity adaptation. Polls `cancel` at block boundaries
+  /// and installs its root flag on the engine for launch-level
+  /// cancellation. One query at a time.
   [[nodiscard]] ShardGpuResult run_gpu_blocks(const QueryContext& ctx,
                                               const CancellationToken& cancel);
 

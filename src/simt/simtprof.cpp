@@ -22,8 +22,8 @@ bool starts_with(const std::string& s, const char* prefix) {
 /// pipeline order, so the table reads like Fig. 12.
 int phase_rank(const std::string& phase) {
   static constexpr const char* kOrder[] = {
-      "prefilter", "coarse",    "hit_detection", "sorting", "filtering",
-      "extension", "gapped",    "h2d",           "d2h",     "other"};
+      "hit_detection", "sorting", "filtering", "extension",
+      "gapped",        "h2d",     "d2h",       "other"};
   for (int i = 0; i < static_cast<int>(std::size(kOrder)); ++i)
     if (phase == kOrder[i]) return i;
   return static_cast<int>(std::size(kOrder));
@@ -77,8 +77,6 @@ const char* phase_for_kernel(const std::string& kernel_name) {
   if (kernel_name == "hit_filter") return "filtering";
   if (kernel_name == "ungapped_extension") return "extension";
   if (kernel_name == "gapped_extension_gpu") return "gapped";
-  if (kernel_name == "ssv_prefilter") return "prefilter";
-  if (kernel_name == "coarse_fused") return "coarse";
   if (starts_with(kernel_name, "h2d_")) return "h2d";
   if (starts_with(kernel_name, "d2h_")) return "d2h";
   return "other";

@@ -373,42 +373,6 @@ class WarpExec {
     }
   }
 
-  /// Maximum over each width-lane window, broadcast to the window's lanes.
-  /// Like __shfl_down_sync-based reductions, this assumes the active mask
-  /// is uniform within each window: a lane may read an inactive peer's
-  /// value, which on hardware would be undefined.
-  template <class T>
-  void window_reduce_max(LaneArray<T>& vals, int width) {
-    const int offset_mask = window_mask(width);
-    if (check_ != nullptr)
-      check_->on_collective(warp_in_block_, active_, width,
-                            "window_reduce_max");
-    for (int delta = width / 2; delta >= 1; delta >>= 1) {
-      note_op();
-      LaneArray<T> prev = vals;
-      for_active([&](int lane) {
-        const int peer =
-            (lane & offset_mask) < width - delta ? lane + delta : lane;
-        vals[static_cast<std::size_t>(lane)] =
-            std::max(vals[static_cast<std::size_t>(lane)],
-                     prev[static_cast<std::size_t>(peer)]);
-      });
-    }
-    // The delta loop is a shfl_down-style reduction, not a symmetric
-    // butterfly: lane i only ever combines with higher lanes (peer =
-    // lane + delta), so after the loop lane i holds the max of the window
-    // *suffix* starting at i — only the window's lane 0 holds the max of
-    // the whole window (width 4, deltas 2,1: lane 1 ends with
-    // max(v1,v2,v3), never seeing v0). The broadcast pass below is
-    // therefore required to hand lane 0's value to every lane.
-    note_op();
-    LaneArray<T> prev = vals;
-    for_active([&](int lane) {
-      vals[static_cast<std::size_t>(lane)] =
-          prev[static_cast<std::size_t>(lane & ~offset_mask)];
-    });
-  }
-
   /// Shuffle-up by delta within windows.
   template <class T>
   void shfl_up(LaneArray<T>& vals, int delta, int width = kWarpSize) {

@@ -275,12 +275,12 @@ TEST(BatchResidency, BatchReportJsonCarriesSchemaAndAggregates) {
   core::SearchSession session(base_config(), w.db);
   const auto batch = session.search_batch(spans_of(w));
   const auto json = batch.to_json();
-  EXPECT_NE(json.find("\"schema\":\"cublastp.batch_report.v4\""),
+  EXPECT_NE(json.find("\"schema\":\"cublastp.batch_report.v5\""),
             std::string::npos);
   EXPECT_NE(json.find("\"queries\":2"), std::string::npos);
-  EXPECT_NE(json.find("cublastp.search_report.v4"), std::string::npos);
+  EXPECT_NE(json.find("cublastp.search_report.v5"), std::string::npos);
   EXPECT_NE(json.find("\"h2d\""), std::string::npos);
-  EXPECT_NE(json.find("\"prefilter\""), std::string::npos);
+  EXPECT_EQ(json.find("\"prefilter\""), std::string::npos);
   // v3: per-query terminal statuses, mirrored from reports[i].status.
   EXPECT_NE(json.find("\"statuses\":[\"ok\",\"ok\"]"), std::string::npos);
 }

@@ -634,7 +634,7 @@ TEST(ServiceReport, V3SchemaCarriesWallMsAndStatus) {
   ASSERT_EQ(result.status, core::RequestStatus::kOk);
 
   const std::string json = result.report.to_json();
-  EXPECT_NE(json.find("\"schema\":\"cublastp.search_report.v4\""),
+  EXPECT_NE(json.find("\"schema\":\"cublastp.search_report.v5\""),
             std::string::npos);
   EXPECT_NE(json.find("\"status\":\"ok\""), std::string::npos);
   EXPECT_NE(json.find("\"wall_ms\":"), std::string::npos);

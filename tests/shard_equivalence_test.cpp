@@ -1,16 +1,15 @@
 // ShardEquivalence: a SearchSession over K engine shards must report
 // bit-identically to the same session class at K=1 — same alignments
 // (scores, bit scores, e-values from the whole-database e-value
-// calculator), same work counters, same per-block degradation and backend
-// vectors — across K ∈ {1, 2, 4}, engine worker counts, and every
-// pre-filter mode. Fault-injection cases pin the isolation story: one
-// shard degrades (to the CPU rung, or to the unfiltered path) while its
-// siblings stay fine-grained and the merged results do not change.
+// calculator), same work counters, same per-block degradation vector —
+// across K ∈ {1, 2, 4} and engine worker counts. A fault-injection case
+// pins the isolation story: one shard degrades to the CPU rung while its
+// siblings stay on the GPU and the merged results do not change.
 //
 // Carve-outs mirror batch_equivalence_test.cpp: time-derived and
-// address-hashed stats are excluded, as are the h2d_query/h2d_prefilter
-// pseudo-kernels — a real fleet pays those uploads once per shard, so
-// their byte counts scale with K by design (DESIGN.md §17).
+// address-hashed stats are excluded, as is the h2d_query pseudo-kernel —
+// a real fleet pays that upload once per shard, so its byte count scales
+// with K by design (DESIGN.md §17).
 #include <gtest/gtest.h>
 
 #include <span>
@@ -49,14 +48,11 @@ Workload make_workload(std::size_t num_seqs = 80, std::size_t num_queries = 3) {
 /// bin_capacity avoids the overflow-adaptation caveat (capacity growth
 /// carries across a shard's blocks, so a restarting shard boundary may
 /// legitimately retry more — DESIGN.md §17).
-core::Config base_config(std::size_t shards, int engine_workers = 1,
-                         core::PrefilterMode prefilter =
-                             core::PrefilterMode::kOff) {
+core::Config base_config(std::size_t shards, std::size_t engine_workers = 1) {
   core::Config config;
   config.db_blocks = 4;
   config.detection_blocks = 2;  // keep the simulated grid small for tests
-  config.engine_workers = engine_workers;
-  config.prefilter = prefilter;
+  config.engine_workers = static_cast<int>(engine_workers);
   config.shards = shards;
   return config;
 }
@@ -87,13 +83,11 @@ void expect_stats_equal(const simt::KernelStats& a, const simt::KernelStats& b,
   EXPECT_EQ(a.occupancy, b.occupancy) << name;  // exact, not approximate
 }
 
-bool per_shard_kernel(const std::string& name) {
-  return name == "h2d_query" || name == "h2d_prefilter";
-}
+bool per_shard_kernel(const std::string& name) { return name == "h2d_query"; }
 
 /// The full deterministic subset of a report: results, counters, the
-/// degradation ladder, the pre-filter observability block, and every
-/// kernel profile entry that is not per-shard or time-derived.
+/// degradation ladder, and every kernel profile entry that is not
+/// per-shard or time-derived.
 void expect_reports_equal(const core::SearchReport& single,
                           const core::SearchReport& sharded) {
   EXPECT_EQ(single.result.alignments, sharded.result.alignments);
@@ -119,14 +113,6 @@ void expect_reports_equal(const core::SearchReport& single,
   EXPECT_EQ(single.retry_counts, sharded.retry_counts);
   EXPECT_EQ(single.faults_encountered, sharded.faults_encountered);
 
-  EXPECT_EQ(single.prefilter_mode, sharded.prefilter_mode);
-  EXPECT_EQ(single.prefilter_threshold, sharded.prefilter_threshold);
-  EXPECT_EQ(single.prefilter_sequences, sharded.prefilter_sequences);
-  EXPECT_EQ(single.prefilter_survivors, sharded.prefilter_survivors);
-  EXPECT_EQ(single.block_backends, sharded.block_backends);
-  EXPECT_EQ(single.prefilter_degraded_blocks,
-            sharded.prefilter_degraded_blocks);
-
   for (const auto& [name, stats] : single.profile.kernels()) {
     if (per_shard_kernel(name)) continue;
     ASSERT_TRUE(sharded.profile.has(name)) << name;
@@ -136,43 +122,36 @@ void expect_reports_equal(const core::SearchReport& single,
     EXPECT_TRUE(per_shard_kernel(name) || single.profile.has(name)) << name;
 }
 
-/// The v4 shards section must tile the block split: contiguous first_block
-/// ranges in shard order whose concatenated backends equal the global
-/// per-block backend vector.
+/// The shards section must tile the block split: contiguous first_block
+/// ranges in shard order that together own one retry count per block.
 void expect_shard_topology(const core::SearchReport& report,
                            std::size_t expected_shards,
                            std::size_t db_blocks) {
   ASSERT_EQ(report.shards.size(), expected_shards);
   std::size_t next_block = 0;
-  std::vector<core::BlockBackend> concatenated;
   for (std::size_t s = 0; s < report.shards.size(); ++s) {
     const core::ShardSummary& shard = report.shards[s];
     EXPECT_EQ(shard.shard, s);
     EXPECT_EQ(shard.first_block, next_block);
     EXPECT_GT(shard.num_blocks, 0u);
-    EXPECT_EQ(shard.backends.size(), shard.num_blocks);
-    concatenated.insert(concatenated.end(), shard.backends.begin(),
-                        shard.backends.end());
     next_block += shard.num_blocks;
   }
   EXPECT_EQ(next_block, db_blocks);
-  EXPECT_EQ(concatenated, report.block_backends);
+  EXPECT_EQ(report.retry_counts.size(), db_blocks);
 }
 
+// Two 8-byte fields leave no padding, so the byte dump gtest prints after
+// each test name is fully defined.
 struct Case {
   std::size_t shards;
-  int engine_workers;
-  core::PrefilterMode prefilter;
+  std::size_t engine_workers;
 };
 
+// Every case runs the plain pipeline; the "PrefilterOff" suffix keeps the
+// test names the suite has always printed.
 std::string case_name(const ::testing::TestParamInfo<Case>& info) {
-  const char* mode = info.param.prefilter == core::PrefilterMode::kOff
-                         ? "PrefilterOff"
-                         : info.param.prefilter == core::PrefilterMode::kOn
-                               ? "PrefilterOn"
-                               : "PrefilterAuto";
   return "K" + std::to_string(info.param.shards) + "Workers" +
-         std::to_string(info.param.engine_workers) + mode;
+         std::to_string(info.param.engine_workers) + "PrefilterOff";
 }
 
 class ShardEquivalence : public ::testing::TestWithParam<Case> {};
@@ -181,10 +160,8 @@ TEST_P(ShardEquivalence, FleetSearchIdenticalToSingleEngine) {
   const auto w = make_workload();
   const Case c = GetParam();
 
-  core::SearchSession single(base_config(1, c.engine_workers, c.prefilter),
-                             w.db);
-  core::SearchSession fleet(
-      base_config(c.shards, c.engine_workers, c.prefilter), w.db);
+  core::SearchSession single(base_config(1, c.engine_workers), w.db);
+  core::SearchSession fleet(base_config(c.shards, c.engine_workers), w.db);
   ASSERT_EQ(fleet.num_shards(), c.shards);
 
   // Two queries each: the second exercises the already-resident device
@@ -210,10 +187,8 @@ TEST_P(ShardEquivalence, FleetBatchIdenticalToSingleEngineBatch) {
   const auto w = make_workload();
   const Case c = GetParam();
 
-  core::SearchSession single(base_config(1, c.engine_workers, c.prefilter),
-                             w.db);
-  core::SearchSession fleet(
-      base_config(c.shards, c.engine_workers, c.prefilter), w.db);
+  core::SearchSession single(base_config(1, c.engine_workers), w.db);
+  core::SearchSession fleet(base_config(c.shards, c.engine_workers), w.db);
 
   const auto baseline = single.search_batch(spans_of(w));
   const auto batch = fleet.search_batch(spans_of(w));
@@ -225,22 +200,13 @@ TEST_P(ShardEquivalence, FleetBatchIdenticalToSingleEngineBatch) {
     SCOPED_TRACE("query " + std::to_string(i));
     expect_reports_equal(baseline.reports[i], batch.reports[i]);
   }
-  EXPECT_EQ(batch.prefilter_sequences, baseline.prefilter_sequences);
-  EXPECT_EQ(batch.prefilter_survivors, baseline.prefilter_survivors);
   EXPECT_EQ(batch.db_device_bytes, baseline.db_device_bytes);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Fleet, ShardEquivalence,
-    ::testing::Values(
-        Case{1, 1, core::PrefilterMode::kOff},
-        Case{2, 1, core::PrefilterMode::kOff},
-        Case{4, 1, core::PrefilterMode::kOff},
-        Case{4, 4, core::PrefilterMode::kOff},
-        Case{2, 4, core::PrefilterMode::kOn},
-        Case{4, 1, core::PrefilterMode::kOn},
-        Case{2, 1, core::PrefilterMode::kAuto},
-        Case{4, 4, core::PrefilterMode::kAuto}),
+    ::testing::Values(Case{1, 1}, Case{2, 1}, Case{4, 1}, Case{4, 4},
+                      Case{2, 4}),
     case_name);
 
 TEST(ShardTopology, ShardCountClampsToBlockCount) {
@@ -256,7 +222,7 @@ TEST(ShardTopology, ShardCountClampsToBlockCount) {
 /// Two launch faults in a row fail both GPU rungs of global block 0 (shards
 /// run in order, so launch order is global block order at every K): shard 0
 /// serves it from the CPU rung while its other blocks and every sibling
-/// stay on the fine path, and the merged output doesn't change.
+/// stay on the GPU, and the merged output doesn't change.
 void expect_one_shard_falls_to_cpu(std::size_t shards) {
   SCOPED_TRACE("K=" + std::to_string(shards));
   const auto w = make_workload();
@@ -274,53 +240,21 @@ void expect_one_shard_falls_to_cpu(std::size_t shards) {
             faulty.result.counters.gapped_extensions);
   EXPECT_EQ(faulty.faults_encountered, 2u);
   EXPECT_EQ(faulty.degraded_blocks, 1u);
+  // Block 0 failed both GPU rungs; every other block ran clean.
+  EXPECT_EQ(faulty.retry_counts, (std::vector<std::uint32_t>{2, 0, 0, 0}));
   ASSERT_EQ(faulty.shards.size(), shards);
   EXPECT_EQ(faulty.shards[0].degraded_blocks, 1u);
-  ASSERT_FALSE(faulty.shards[0].backends.empty());
-  EXPECT_EQ(faulty.shards[0].backends[0], core::BlockBackend::kCpu);
-  for (std::size_t b = 1; b < faulty.shards[0].backends.size(); ++b)
-    EXPECT_EQ(faulty.shards[0].backends[b], core::BlockBackend::kFine);
+  EXPECT_EQ(faulty.shards[0].retry_attempts, 2u);
   for (std::size_t s = 1; s < shards; ++s) {
     SCOPED_TRACE("shard " + std::to_string(s));
     EXPECT_EQ(faulty.shards[s].degraded_blocks, 0u);
     EXPECT_EQ(faulty.shards[s].retry_attempts, 0u);
-    for (const auto backend : faulty.shards[s].backends)
-      EXPECT_EQ(backend, core::BlockBackend::kFine);
   }
 }
 
 TEST(ShardEquivalenceFaults, OneShardFallsToCpuWhileSiblingsStayFine) {
   for (const std::size_t shards : {1u, 2u, 4u})
     expect_one_shard_falls_to_cpu(shards);
-}
-
-TEST(ShardEquivalenceFaults, PrefilterFaultDegradesOneBlockNotTheFleet) {
-  // A pre-filter launch fault makes the owning shard serve that block
-  // unfiltered (rung 1 absorbs it); the lossless-filter guarantee keeps
-  // the merged alignments identical and the siblings keep filtering.
-  const auto w = make_workload();
-  auto config = base_config(/*shards=*/4, /*engine_workers=*/1,
-                            core::PrefilterMode::kOn);
-  const auto clean = core::SearchSession(config, w.db).search(w.query);
-
-  config.fault_schedule = "core.prefilter:nth=3";  // global block 2's filter
-  config.fault_seed = 7;
-  core::SearchSession fleet(config, w.db);
-  const auto faulty = fleet.search(w.query);
-
-  EXPECT_EQ(clean.result.alignments, faulty.result.alignments);
-  EXPECT_EQ(faulty.faults_encountered, 1u);
-  EXPECT_EQ(faulty.degraded_blocks, 0u);  // never left the GPU
-  EXPECT_EQ(faulty.prefilter_degraded_blocks, 1u);
-  ASSERT_EQ(faulty.shards.size(), 4u);
-  EXPECT_EQ(faulty.shards[2].prefilter_degraded_blocks, 1u);
-  EXPECT_EQ(faulty.shards[2].backends[0], core::BlockBackend::kFine);
-  for (const std::size_t s : {0u, 1u, 3u}) {
-    SCOPED_TRACE("shard " + std::to_string(s));
-    EXPECT_EQ(faulty.shards[s].prefilter_degraded_blocks, 0u);
-    EXPECT_EQ(faulty.shards[s].backends[0],
-              core::BlockBackend::kFineFiltered);
-  }
 }
 
 TEST(ShardEquivalenceHazards, AnalyzersFindNothingInShardedMode) {

@@ -96,68 +96,6 @@ TEST(Collectives, MaxScanUnderNarrowedMaskOnlyTouchesActiveWindows) {
     EXPECT_EQ(vals[lane], input[lane]) << "inactive lane " << lane;
 }
 
-TEST(Collectives, ReduceMaxUnderNarrowedMaskOnlyTouchesActiveWindows) {
-  // window_reduce_max's mask contract: the mask must be window-uniform
-  // (whole windows active or inactive). Active windows end with every lane
-  // holding the window max; inactive windows keep their values.
-  simt::Engine engine;
-  LaneArray<int> vals{};
-  LaneArray<int> input{};
-  for (int lane = 0; lane < 32; ++lane) input[lane] = (lane * 7) % 19 - 9;
-  engine.launch({"maskedreduce", 1, 32, 16}, [&](simt::BlockCtx& ctx) {
-    ctx.par([&](simt::WarpExec& w) {
-      w.vec([&](int lane) { vals[lane] = input[lane]; });
-      // Windows 1 and 3 of width 8 active; 0 and 2 inactive.
-      w.if_then([](int lane) { return (lane / 8) % 2 == 1; },
-                [&] { w.window_reduce_max(vals, 8); });
-    });
-  });
-  for (int win = 0; win < 4; ++win) {
-    int window_max = INT_MIN;
-    for (int k = win * 8; k < (win + 1) * 8; ++k)
-      window_max = std::max(window_max, input[k]);
-    for (int lane = win * 8; lane < (win + 1) * 8; ++lane) {
-      if (win % 2 == 1)
-        EXPECT_EQ(vals[lane], window_max) << "active lane " << lane;
-      else
-        EXPECT_EQ(vals[lane], input[lane]) << "inactive lane " << lane;
-    }
-  }
-}
-
-TEST(Collectives, ReduceMaxMaskedRandomSweep) {
-  // Random values, every window width, half the windows masked off.
-  util::Rng rng(137);
-  for (int trial = 0; trial < 10; ++trial) {
-    for (const int width : {2, 4, 8, 16}) {
-      simt::Engine engine;
-      LaneArray<int> vals{};
-      LaneArray<int> input{};
-      for (auto& v : input) v = static_cast<int>(rng.below(1000)) - 500;
-      engine.launch({"maskedreduce2", 1, 32, 16}, [&](simt::BlockCtx& ctx) {
-        ctx.par([&](simt::WarpExec& w) {
-          w.vec([&](int lane) { vals[lane] = input[lane]; });
-          w.if_then([&](int lane) { return (lane / width) % 2 == 0; },
-                    [&] { w.window_reduce_max(vals, width); });
-        });
-      });
-      for (int lane = 0; lane < 32; ++lane) {
-        const int win = lane / width;
-        if (win % 2 == 0) {
-          int expected = INT_MIN;
-          for (int k = win * width; k < (win + 1) * width; ++k)
-            expected = std::max(expected, input[k]);
-          ASSERT_EQ(vals[lane], expected)
-              << "width " << width << " lane " << lane;
-        } else {
-          ASSERT_EQ(vals[lane], input[lane])
-              << "width " << width << " lane " << lane;
-        }
-      }
-    }
-  }
-}
-
 TEST(Collectives, WindowedCollectivesRejectNonPowerOfTwoWidths) {
   simt::Engine engine;
   engine.launch({"bad_widths", 1, 32, 16}, [&](simt::BlockCtx& ctx) {
@@ -169,8 +107,6 @@ TEST(Collectives, WindowedCollectivesRejectNonPowerOfTwoWidths) {
             << width;
         EXPECT_THROW(w.window_inclusive_max_scan(vals, width),
                      std::invalid_argument)
-            << width;
-        EXPECT_THROW(w.window_reduce_max(vals, width), std::invalid_argument)
             << width;
         EXPECT_THROW(w.shfl_up(vals, 1, width), std::invalid_argument)
             << width;

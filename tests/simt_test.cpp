@@ -353,25 +353,6 @@ TEST(Warp, FullWarpScan) {
     EXPECT_EQ(vals[lane], lane * (lane + 1) / 2);
 }
 
-TEST(Warp, WindowReduceMaxBroadcasts) {
-  simt::Engine engine;
-  LaunchConfig config{"redmax", 1, 32, 16};
-  LaneArray<int> vals{};
-  engine.launch(config, [&](simt::BlockCtx& ctx) {
-    ctx.par([&](simt::WarpExec& w) {
-      w.vec([&](int lane) { vals[lane] = (lane * 7) % 13; });
-      w.window_reduce_max(vals, 8);
-    });
-  });
-  for (int win = 0; win < 4; ++win) {
-    int expected = 0;
-    for (int l = win * 8; l < (win + 1) * 8; ++l)
-      expected = std::max(expected, (l * 7) % 13);
-    for (int l = win * 8; l < (win + 1) * 8; ++l)
-      EXPECT_EQ(vals[l], expected) << "window " << win << " lane " << l;
-  }
-}
-
 TEST(Warp, ShflUpShiftsWithinWindow) {
   simt::Engine engine;
   LaunchConfig config{"shfl", 1, 32, 16};

@@ -1,8 +1,8 @@
 // SimtCheckClean: every production kernel — hit detection, binning/
 // sorting/filtering (K3 also on a re-armed grid), all three
-// ungapped-extension strategies, the SSV pre-filter, the gapped ablation
-// kernel, and both coarse-grained baselines — must run under the simtcheck
-// hazard analyzer with zero findings, serial and SM-sharded.
+// ungapped-extension strategies, the gapped ablation kernel, and both
+// coarse-grained baselines — must run under the simtcheck hazard analyzer
+// with zero findings, serial and SM-sharded.
 // The analyzer's false-positive budget is zero, and a regression that
 // introduces a real hazard (like the divergent scan it caught in
 // emit_records) fails here before it ships.
@@ -21,12 +21,10 @@
 #include "bio/pssm.hpp"
 #include "blast/ungapped.hpp"
 #include "blast/wordlookup.hpp"
-#include "bio/karlin.hpp"
 #include "core/cublastp.hpp"
 #include "core/device_data.hpp"
 #include "core/gapped_kernel.hpp"
 #include "core/kernels.hpp"
-#include "core/prefilter.hpp"
 #include "flat_list_reference.hpp"
 #include "gpualgo/segsort.hpp"
 #include "simt/device_buffer.hpp"
@@ -309,47 +307,6 @@ TEST(SimtCheckClean, FlatSegmentListAndWindowClaiming) {
         std::sort(result.extensions.begin(), result.extensions.end());
         EXPECT_EQ(result.extensions, expected);
       }
-    }
-  }
-}
-
-TEST(SimtCheckClean, PrefilterKernel) {
-  // The SSV pre-filter kernel, standalone (via run_prefilter against a
-  // resident block) and inside the full pipeline, serial and SM-sharded:
-  // zero hazards, and the filtered pipeline's results match unfiltered.
-  const PipelineFixture fx;
-  {
-    blast::SearchParams params;
-    blast::WordLookup lookup(fx.query, bio::Blosum62::instance(), params);
-    bio::Pssm pssm(fx.query, bio::Blosum62::instance());
-    bio::EvalueCalculator evalue(bio::blosum62_gapped_11_1(), fx.query.size(),
-                                 fx.db.total_residues(), fx.db.size());
-    core::PrefilterDevice table(pssm);
-    core::BlockDevice blk(fx.db, 0, fx.db.size());
-    core::Config config;
-    simt::Engine engine;
-    engine.set_simtcheck_enabled(true);
-    const auto filtered = core::run_prefilter(
-        engine, config, table, blk,
-        core::prefilter_threshold_for(config, evalue));
-    EXPECT_EQ(filtered.num_seqs, fx.db.size());
-    EXPECT_EQ(engine.hazards().total, 0u) << engine.hazards().summary();
-  }
-  for (const auto mode :
-       {core::PrefilterMode::kOn, core::PrefilterMode::kAuto}) {
-    for (const int workers : {1, 4}) {
-      core::Config config;
-      config.prefilter = mode;
-      config.simtcheck = true;
-      config.engine_workers = workers;
-      const auto report = core::CuBlastp(config).search(fx.query, fx.db);
-      EXPECT_EQ(report.hazards.total, 0u)
-          << "mode " << core::prefilter_mode_name(mode) << " workers "
-          << workers << "\n"
-          << report.hazards.summary();
-      core::Config off;
-      const auto baseline = core::CuBlastp(off).search(fx.query, fx.db);
-      expect_same_result(baseline.result, report.result);
     }
   }
 }

@@ -123,14 +123,14 @@ TEST(SimtCheck, BarrierSeparatedAccessesAndAtomicsAreClean) {
 
 TEST(SimtCheck, DivergentCollectiveDetected) {
   auto engine = checked_engine();
-  engine.launch(launch_shape("divergent_reduce", 1, 32),
+  engine.launch(launch_shape("divergent_max_scan", 1, 32),
                 [](simt::BlockCtx& ctx) {
                   ctx.par([&](simt::WarpExec& w) {
                     simt::LaneArray<int> vals{};
-                    // Lanes 0..2 of an 8-lane window active: the reduction
-                    // reads inactive peers — undefined on hardware.
+                    // Lanes 0..2 of an 8-lane window active: the scan's
+                    // shuffles read inactive peers — undefined on hardware.
                     w.if_then([](int lane) { return lane < 3; },
-                              [&] { w.window_reduce_max(vals, 8); });
+                              [&] { w.window_inclusive_max_scan(vals, 8); });
                   });
                 });
   const auto& report = engine.hazards();
@@ -138,12 +138,12 @@ TEST(SimtCheck, DivergentCollectiveDetected) {
   EXPECT_EQ(report.count(simt::HazardKind::kDivergentCollective), 1u);
   ASSERT_FALSE(report.records.empty());
   const auto& rec = report.records[0];
-  EXPECT_EQ(rec.kernel, "divergent_reduce");
+  EXPECT_EQ(rec.kernel, "divergent_max_scan");
   EXPECT_EQ(rec.block, 0);
   EXPECT_EQ(rec.warp, 0);
   EXPECT_EQ(rec.active_mask, 0x7u);
   EXPECT_EQ(rec.width, 8);
-  EXPECT_EQ(rec.detail, "window_reduce_max");
+  EXPECT_EQ(rec.detail, "window_inclusive_max_scan");
   EXPECT_GT(report.collectives_checked, 0u);
 }
 
@@ -208,7 +208,7 @@ TEST(SimtCheck, WindowUniformMaskIsNotDivergent) {
                   ctx.par([&](simt::WarpExec& w) {
                     simt::LaneArray<int> vals{};
                     w.if_then([](int lane) { return lane < 8; },
-                              [&] { w.window_reduce_max(vals, 8); });
+                              [&] { w.window_inclusive_max_scan(vals, 8); });
                   });
                 });
   EXPECT_EQ(engine.hazards().total, 0u);

@@ -769,10 +769,13 @@ TEST(SearchReport, ToJsonIsStrictlyValidAndComplete) {
   const auto w = make_workload();
   const auto report = core::CuBlastp(small_config()).search(w.query, w.db);
   const JsonValue root = parse_json(report.to_json());
-  EXPECT_EQ(root.at("schema").string, "cublastp.search_report.v4");
+  EXPECT_EQ(root.at("schema").string, "cublastp.search_report.v5");
   EXPECT_EQ(root.at("status").string, "ok");
   EXPECT_GT(root.at("wall_ms").number, 0.0);
-  EXPECT_EQ(root.at("prefilter").at("mode").string, "off");
+  EXPECT_FALSE(root.has("prefilter"));
+  ASSERT_FALSE(root.at("shards").array.empty());
+  for (const JsonValue& shard : root.at("shards").array)
+    EXPECT_FALSE(shard.has("backends"));
   EXPECT_GT(root.at("gpu_ms").at("hit_detection").number, 0.0);
   EXPECT_GT(root.at("counters").at("hits_detected").number, 0.0);
   EXPECT_EQ(root.at("degradation").at("degraded").number, 0.0);
