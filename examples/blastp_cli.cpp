@@ -288,8 +288,21 @@ int run_serve(const util::Options& options, const core::Config& config,
   return hazards.total != 0 ? 3 : 0;
 }
 
+/// Every key blastp_cli reads, config_from_options' aside.
+const std::vector<std::string_view> kCliKeys = {
+    "query", "batch", "all-vs-all", "all-vs-all-limit", "db", "lenient",
+    "engine", "max_alignments", "profile", "trace", "metrics", "report",
+    "report-json", "deadline-ms", "serve", "serve-clients", "serve-repeat",
+    "deadline-queries", "cancel-queries", "queue-capacity",
+    "per-priority-limit", "slo-ms", "flight-dir", "statusz",
+    "statusz-period-ms", "log"};
+
 int run(int argc, char** argv) {
   util::Options options(argc, argv);
+  std::vector<std::string_view> keys = kCliKeys;
+  keys.insert(keys.end(), examples::kConfigKeys.begin(),
+              examples::kConfigKeys.end());
+  if (!examples::known_options_only(options, keys, "blastp_cli")) return 2;
   const bool batch_mode = options.has("batch");
   const bool all_vs_all = options.has("all-vs-all");
   if ((!options.has("query") && !batch_mode && !all_vs_all) ||

@@ -56,6 +56,15 @@ core::Config config_from_options(const util::Options& options) {
   return config;
 }
 
+bool known_options_only(const util::Options& options,
+                        std::vector<std::string_view> keys,
+                        const char* tool) {
+  const std::vector<std::string> unknown = options.unknown_keys(keys);
+  for (const std::string& key : unknown)
+    std::fprintf(stderr, "%s: unknown option --%s\n", tool, key.c_str());
+  return unknown.empty();
+}
+
 int run_tool(const char* tool, const std::function<int()>& body) {
   try {
     return body();

@@ -7,6 +7,7 @@
 
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bio/database.hpp"
@@ -31,6 +32,18 @@ bio::SequenceDatabase load_database(const std::string& path, bool lenient,
 /// --simtcheck, --svccheck. Flags a tool doesn't pass keep the paper
 /// defaults.
 core::Config config_from_options(const util::Options& options);
+
+/// The keys config_from_options reads.
+inline const std::vector<std::string_view> kConfigKeys = {
+    "evalue", "threads", "engine_workers", "shards",
+    "strategy", "simtcheck", "svccheck"};
+
+/// A tool's start-up check of its flags against the keys it reads: prints
+/// "<tool>: unknown option --KEY" for each other one and returns false, so
+/// the tool exits 2 instead of running the defaults on a mistyped flag.
+bool known_options_only(const util::Options& options,
+                        std::vector<std::string_view> keys,
+                        const char* tool);
 
 /// Runs `body` under the shared top-level handler: any std::exception is
 /// printed as "<tool>: error: ..." and the process exits 1.

@@ -19,6 +19,7 @@
 #include "bio/alphabet.hpp"
 #include "bio/fasta.hpp"
 #include "bio/generator.hpp"
+#include "common.hpp"
 #include "util/options.hpp"
 #include "util/stats.hpp"
 
@@ -27,6 +28,12 @@ namespace {
 int run(int argc, char** argv) {
   using namespace repro;
   util::Options options(argc, argv);
+  if (!examples::known_options_only(options,
+                                    {"seqs", "env_nr", "seed",
+                                     "plant_query_len", "out", "len", "in",
+                                     "lenient"},
+                                    "database_tools"))
+    return 2;
   const auto& positional = options.positional();
   const std::string mode = positional.empty() ? "generate" : positional[0];
 

@@ -24,6 +24,11 @@ namespace {
 int run(int argc, char** argv) {
   using namespace repro;
   util::Options options(argc, argv);
+  std::vector<std::string_view> keys = {"reads", "queries"};
+  keys.insert(keys.end(), examples::kConfigKeys.begin(),
+              examples::kConfigKeys.end());
+  if (!examples::known_options_only(options, keys, "protein_annotation"))
+    return 2;
   const auto num_reads =
       static_cast<std::size_t>(options.get_int("reads", 2000));
   const auto num_queries =

@@ -20,6 +20,9 @@ namespace {
 int run(int argc, char** argv) {
   using namespace repro;
   util::Options options(argc, argv);
+  if (!examples::known_options_only(options, {"query", "db", "lenient"},
+                                    "quickstart"))
+    return 2;
 
   // 1. Get a query and a database (from FASTA files, or synthetic).
   bio::Sequence query;

@@ -19,6 +19,9 @@ namespace {
 int run(int argc, char** argv) {
   using namespace repro;
   util::Options options(argc, argv);
+  if (!examples::known_options_only(options, {"query_len", "seqs", "env_nr"},
+                                    "strategy_explorer"))
+    return 2;
   const auto query_len =
       static_cast<std::size_t>(options.get_int("query_len", 517));
   const auto num_seqs = static_cast<std::size_t>(options.get_int("seqs", 400));

@@ -257,7 +257,7 @@ DetectionResult launch_hit_detection(simt::Engine& engine,
 }
 
 // --------------------------------------------------------------------------
-// K3: hit sorting, straight out of the bin grid
+// K3: sorting the long bins, straight out of the bin grid
 // --------------------------------------------------------------------------
 
 AssembledBins launch_assemble(simt::Engine& engine, const BinGrid& bins) {
@@ -271,10 +271,10 @@ AssembledBins launch_assemble(simt::Engine& engine, const BinGrid& bins) {
 }
 
 void launch_sort(simt::Engine& engine, AssembledBins& assembled) {
-  gpualgo::segmented_sort_u64(engine, assembled.hits, assembled.offsets,
-                              kKernelSort,
-                              {assembled.grid, assembled.capacity});
-  assembled.grid = nullptr;  // the hits are in place now
+  gpualgo::sort_long_segments_u64(engine, assembled.hits, assembled.offsets,
+                                  kKernelSort,
+                                  {assembled.grid, assembled.capacity});
+  assembled.sorted = true;
 }
 
 // --------------------------------------------------------------------------
@@ -283,8 +283,8 @@ void launch_sort(simt::Engine& engine, AssembledBins& assembled) {
 
 namespace {
 
-/// Consecutive bins one K4 warp walks as a single stream of hits.
-constexpr std::size_t kFilterRunBins = 16;
+/// Consecutive bins one K4 warp takes: K3's runs.
+constexpr std::size_t kFilterRunBins = gpualgo::kRunSegments;
 
 /// Walks one warp over n hits at hits[base..], 32 per chunk. Lane j of a
 /// chunk holds hit i = i0 + j (lanes past n hold i >= n) and reaches its
@@ -325,26 +325,122 @@ void scatter_ranked(WarpExec& w, Mask mask, std::uint32_t base, T* out,
   });
 }
 
+/// One run's survivors so far, written from staged[base], and the
+/// segments they start.
+struct RunTally {
+  std::uint32_t base = 0;
+  std::uint32_t kept = 0;
+  std::uint32_t segs = 0;
+};
+
+/// The filter over one sorted pack of short bins: lane l's left neighbour
+/// is lane l - 1 of its group. A survivor starts a segment iff no survivor
+/// precedes it in its run of equal keys; packs hold whole bins, so that run
+/// starts in the pack.
+void filter_pack(WarpExec& w, const gpualgo::SortedPack& p,
+                 std::uint32_t window, bool one_hit, std::uint64_t* staged,
+                 RunTally& tally) {
+  LaneArray<std::uint64_t> left = p.keys;
+  w.shfl_up(left, 1, static_cast<int>(p.width));
+  const auto paired = [&](int lane) {
+    return p.pos[lane] > 0 &&
+           segment_key(p.keys[lane]) == segment_key(left[lane]) &&
+           hit_spos(p.keys[lane]) - hit_spos(left[lane]) <= window;
+  };
+  const Mask kept = w.ballot([&](int lane) {
+    return p.pos[lane] < p.len[lane] && (one_hit || paired(lane));
+  });
+  if (kept == 0) return;
+  // Where each run of equal keys begins, then the survivors with no
+  // survivor between that point and themselves.
+  const Mask heads = w.ballot([&](int lane) {
+    return p.pos[lane] == 0 ||
+           segment_key(p.keys[lane]) != segment_key(left[lane]);
+  });
+  const Mask starts = w.ballot([&](int lane) {
+    if (((kept >> lane) & 1u) == 0) return false;
+    const int head = 31 - std::countl_zero(heads & (simt::kFullMask >>
+                                                     (31 - lane)));
+    const Mask between = ((Mask{1} << lane) - 1u) & ~((Mask{1} << head) - 1u);
+    return (kept & between) == 0;
+  });
+  scatter_ranked(w, kept, tally.base + tally.kept, staged, p.keys);
+  tally.kept += static_cast<std::uint32_t>(std::popcount(kept));
+  tally.segs += static_cast<std::uint32_t>(std::popcount(starts));
+}
+
+/// The filter over one long bin, streamed from `hits` 32 hits at a time. A
+/// survivor starts a segment iff its key differs from the previous
+/// survivor's — the nearest kept lane below it, or for a chunk's first
+/// survivor the last one of earlier chunks, which lane 31 carries. The
+/// bin's first survivor always starts one.
+void filter_stream(WarpExec& w, const std::uint64_t* hits, std::uint32_t start,
+                   std::uint32_t n, std::uint32_t window, bool one_hit,
+                   std::uint64_t* staged, RunTally& tally) {
+  std::uint32_t bin_kept = 0;
+  LaneArray<std::uint64_t> tail{};
+  walk_sorted(w, hits, start, n,
+              [&](const LaneArray<std::uint32_t>& i,
+                  const LaneArray<std::uint64_t>& cur, auto&& left_of) {
+    LaneArray<std::uint8_t> take{};
+    w.vec([&](int lane) {
+      const std::uint64_t left = left_of(lane);
+      const bool paired = i[lane] > 0 &&
+                          segment_key(cur[lane]) == segment_key(left) &&
+                          hit_spos(cur[lane]) - hit_spos(left) <= window;
+      take[lane] = i[lane] < n && (one_hit || paired) ? 1 : 0;
+    });
+    const Mask kept = w.ballot([&](int lane) { return take[lane] != 0; });
+    if (kept == 0) return;
+
+    LaneArray<int> src{};
+    LaneArray<std::uint64_t> prev{};
+    w.vec([&](int lane) {
+      const Mask below = kept & ((Mask{1} << lane) - 1u);
+      src[lane] = below != 0 ? 31 - std::countl_zero(below) : 31;
+      prev[lane] = lane == 31 ? tail[lane] : cur[lane];
+    });
+    w.shfl(prev, src);
+    const Mask starts = w.ballot([&](int lane) {
+      if (((kept >> lane) & 1u) == 0) return false;
+      const bool first = bin_kept == 0 && simt::rank_below(kept, lane) == 0;
+      return first || segment_key(cur[lane]) != segment_key(prev[lane]);
+    });
+    // Lane 31 carries the chunk's last survivor to the next chunk.
+    w.vec([&](int lane) {
+      tail[lane] = (kept >> 31) != 0 ? cur[lane] : prev[lane];
+    });
+    scatter_ranked(w, kept, tally.base + tally.kept, staged, cur);
+    const auto count = static_cast<std::uint32_t>(std::popcount(kept));
+    bin_kept += count;
+    tally.kept += count;
+    tally.segs += static_cast<std::uint32_t>(std::popcount(starts));
+  });
+}
+
 }  // namespace
 
 FilteredBins launch_filter(simt::Engine& engine, const Config& config,
                            const AssembledBins& assembled) {
-  if (assembled.grid != nullptr)
-    throw std::logic_error("hit filtering: the bins are not sorted yet");
+  if (!assembled.sorted)
+    throw std::logic_error("hit filtering: the long bins are not sorted yet");
   const std::size_t total_bins = assembled.num_bins();
   const std::size_t num_runs =
       (total_bins + kFilterRunBins - 1) / kFilterRunBins;
   // Run r covers bins [r * kFilterRunBins, ...) and, since the bins lie
-  // back to back, the hits [offsets[first bin], offsets[past its last]).
+  // back to back, the places [offsets[first bin], offsets[past its last]).
   const auto run_start = [&](std::size_t r) {
     return assembled.offsets[r * kFilterRunBins];
-  };
-  const auto run_end = [&](std::size_t r) {
-    return assembled.offsets[std::min((r + 1) * kFilterRunBins, total_bins)];
   };
   const auto window =
       static_cast<std::uint32_t>(config.params.two_hit_window);
   const bool one_hit = config.params.one_hit;
+  // Short bins come from the grid rows when there is a grid; a bin of one
+  // hit has no pair, so only one-hit mode reads it.
+  const gpualgo::RunSegments bins{
+      assembled.offsets.data(), total_bins, assembled.hits.data(),
+      {assembled.grid, assembled.capacity}};
+  const std::uint32_t min_len = one_hit ? 1 : 2;
   // One warp per run, grid-stride over 128-thread blocks. Warp-uniform
   // extents are read host-side.
   simt::LaunchConfig cfg;
@@ -358,70 +454,38 @@ FilteredBins launch_filter(simt::Engine& engine, const Config& config,
   // together. Zeroed up front (cudaMemset), so runs without survivors
   // write nothing.
   simt::DeviceVector<std::uint64_t> counts(num_runs, 0);
-  // Survivors compacted within their own run's assembled region.
+  // Survivors compacted within their own run's place.
   simt::DeviceVector<std::uint64_t> staged(assembled.hits.size());
 
   // Pass 1: the two-hit filter (paper Fig. 6c): a hit survives iff its left
-  // neighbour is on the same (seq, diagonal) and within the window. A
-  // survivor starts a segment iff its key differs from the previous
-  // survivor's — the nearest kept lane below it, or for the chunk's first
-  // survivor the last one of earlier chunks, which lane 31 carries. No two
-  // bins share a (seq, diagonal) key, so a run's bins need no boundaries:
-  // a bin's first hit never pairs with the previous bin's last, and its
-  // first survivor always starts a segment.
+  // neighbour is on the same (seq, diagonal) and within the window. The
+  // run's short bins sort and filter in register packs, its long bins
+  // stream from `hits`, in bin order. No two bins share a (seq, diagonal)
+  // key, so a bin's first hit never pairs with the previous bin's last,
+  // and its first survivor always starts a segment.
   engine.launch(cfg, [&](BlockCtx& ctx) {
     ctx.par([&](WarpExec& w) {
       const auto stride = static_cast<std::size_t>(w.num_warps_total());
       for (auto r = static_cast<std::size_t>(w.global_warp_id());
            r < num_runs; r += stride) {
-        const std::uint32_t base = run_start(r);
-        const std::uint32_t n = run_end(r) - base;
-        std::uint32_t kept_total = 0;
-        std::uint32_t segs = 0;
-        LaneArray<std::uint64_t> tail{};
-        walk_sorted(w, assembled.hits.data(), base, n,
-                    [&](const LaneArray<std::uint32_t>& i,
-                        const LaneArray<std::uint64_t>& cur, auto&& left_of) {
-          LaneArray<std::uint8_t> take{};
-          w.vec([&](int lane) {
-            const std::uint64_t left = left_of(lane);
-            const bool paired =
-                i[lane] > 0 && segment_key(cur[lane]) == segment_key(left) &&
-                hit_spos(cur[lane]) - hit_spos(left) <= window;
-            take[lane] = i[lane] < n && (one_hit || paired) ? 1 : 0;
-          });
-          const Mask kept = w.ballot([&](int lane) { return take[lane] != 0; });
-          if (kept == 0) return;
-
-          LaneArray<int> src{};
-          LaneArray<std::uint64_t> prev{};
-          w.vec([&](int lane) {
-            const Mask below = kept & ((Mask{1} << lane) - 1u);
-            src[lane] = below != 0 ? 31 - std::countl_zero(below) : 31;
-            prev[lane] = lane == 31 ? tail[lane] : cur[lane];
-          });
-          w.shfl(prev, src);
-          const Mask starts = w.ballot([&](int lane) {
-            if (((kept >> lane) & 1u) == 0) return false;
-            const bool first =
-                kept_total == 0 && simt::rank_below(kept, lane) == 0;
-            return first || segment_key(cur[lane]) != segment_key(prev[lane]);
-          });
-          // Lane 31 carries the chunk's last survivor to the next chunk.
-          w.vec([&](int lane) {
-            tail[lane] = (kept >> 31) != 0 ? cur[lane] : prev[lane];
-          });
-          scatter_ranked(w, kept, base + kept_total, staged.data(), cur);
-          kept_total += static_cast<std::uint32_t>(std::popcount(kept));
-          segs += static_cast<std::uint32_t>(std::popcount(starts));
-        });
-        if (kept_total == 0) continue;
+        RunTally tally;
+        tally.base = run_start(r);
+        gpualgo::walk_run(
+            w, bins, r * kFilterRunBins, min_len,
+            [&](const gpualgo::SortedPack& pack) {
+              filter_pack(w, pack, window, one_hit, staged.data(), tally);
+            },
+            [&](std::size_t, std::uint32_t start, std::uint32_t n) {
+              filter_stream(w, assembled.hits.data(), start, n, window,
+                            one_hit, staged.data(), tally);
+            });
+        if (tally.kept == 0) continue;
         w.if_then([](int lane) { return lane == 0; }, [&] {
           LaneArray<std::uint32_t> cidx{};
           LaneArray<std::uint64_t> cval{};
           w.vec([&](int lane) {
             cidx[lane] = static_cast<std::uint32_t>(r);
-            cval[lane] = std::uint64_t{segs} << 32 | kept_total;
+            cval[lane] = std::uint64_t{tally.segs} << 32 | tally.kept;
           });
           w.scatter(counts.data(), cidx, cval);
         });

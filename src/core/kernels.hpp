@@ -1,11 +1,14 @@
 // The fine-grained cuBLASTP kernels (paper §3.2–3.4):
 //   K1 hit detection with binning        (Algorithm 2, Fig. 5)
 //   K3 hit sorting                       (Fig. 6a/b; bin scan + gpualgo
-//                                          segmented sort out of the grid)
-//   K4 hit filtering + segment indexing  (Fig. 6c)
+//                                          sort of the long bins out of
+//                                          the grid)
+//   K4 hit filtering + segment indexing  (Fig. 6c; sorts the short bins
+//                                          in registers as it filters)
 //   K5 ungapped extension                (Algorithms 3/4/5, Fig. 9)
 // The paper's K2 (hit assembling) has no launch of its own: K3's first
-// pass reads each bin from K1's grid and writes it sorted into place.
+// pass reads each long bin from K1's grid and writes it sorted into place,
+// and K4 reads each short bin from the grid into registers.
 #pragma once
 
 #include <cstdint>
@@ -45,14 +48,18 @@ DetectionResult launch_hit_detection(simt::Engine& engine,
 /// (sequence, diagonal) key: K1 files all hits of one diagonal of one
 /// sequence in one bin.
 struct AssembledBins {
-  /// Bin b's hits at [offsets[b], offsets[b + 1]), sorted once launch_sort
-  /// has run. Until then they are still in the grid.
+  /// Bin b's place, [offsets[b], offsets[b + 1]). launch_sort writes the
+  /// bins longer than a warp there, sorted; the shorter ones K4 reads where
+  /// they start out (the grid, or here) and sorts in registers.
   simt::DeviceVector<std::uint64_t> hits;
   simt::DeviceVector<std::uint32_t> offsets;  ///< num_bins()+1 bin starts
-  /// K1's grid while it holds the unsorted hits (bin b's in the row at
-  /// grid + b * capacity), not owned; null once `hits` holds them.
+  /// K1's grid, which holds every bin's unsorted hits (bin b's in the row
+  /// at grid + b * capacity), not owned; it must stay armed until
+  /// launch_filter has run. Null when the bins start out in `hits`.
   const std::uint64_t* grid = nullptr;
   std::uint32_t capacity = 0;
+  /// Every bin longer than a warp is sorted in `hits` (launch_sort).
+  bool sorted = false;
 
   [[nodiscard]] std::size_t num_bins() const {
     return offsets.empty() ? 0 : offsets.size() - 1;
@@ -61,13 +68,14 @@ struct AssembledBins {
 
 /// Places the bins: a device scan of K1's counts (kKernelScan) gives each
 /// bin its start. `hits` is left unfilled and the result views `bins`'
-/// slots, which must stay armed until launch_sort.
+/// slots, which must stay armed until launch_filter.
 AssembledBins launch_assemble(simt::Engine& engine, const BinGrid& bins);
 
-/// K3: sorts every bin by the packed (seq | diagonal | spos) key
-/// (gpualgo::segmented_sort_u64: a warp sorts a run of bins, several small
-/// bins per register network), reading each bin from the grid and writing
-/// it sorted into `hits`; without a grid view it sorts `hits` in place.
+/// K3: sorts every bin longer than a warp by the packed (seq | diagonal |
+/// spos) key (gpualgo::sort_long_segments_u64: a warp takes a run of 32
+/// bins), reading it from the grid and writing it sorted into `hits`, or
+/// sorting it in place without a grid view. The shorter bins, most of the
+/// hits, are K4's to sort. It launches even when no bin is that long.
 void launch_sort(simt::Engine& engine, AssembledBins& assembled);
 
 /// K4's output: one flat work list for K5, in (bin, segment) order.
@@ -84,12 +92,14 @@ struct FilteredBins {
 
 /// K4: two-hit filter — a hit survives iff its left neighbour in the sorted
 /// bin is on the same (sequence, diagonal) within the window A — plus the
-/// flat segment list. A warp walks a run of consecutive bins as one stream
-/// of hits, which bins with disjoint keys allow: a filter pass counts each
-/// run's survivors and segments (left neighbour and previous survivor
-/// arrive by shuffle), a device scan places them, and an indexing pass
-/// writes the compact survivors and each segment's first-survivor index.
-/// `assembled` must be sorted (launch_sort).
+/// flat segment list. A warp takes a run of 32 consecutive bins, K3's runs:
+/// it sorts the run's short bins in register packs
+/// (gpualgo::walk_run) and filters them there, and streams each long bin
+/// from `hits` in between, so its survivors come in bin order. This filter
+/// pass counts each run's survivors and segments, a device scan places
+/// them, and an indexing pass writes the compact survivors and each
+/// segment's first-survivor index. `assembled` must be sorted
+/// (launch_sort).
 FilteredBins launch_filter(simt::Engine& engine, const Config& config,
                            const AssembledBins& assembled);
 

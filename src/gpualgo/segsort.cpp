@@ -15,9 +15,6 @@ namespace {
 constexpr int kBlockThreads = 128;
 constexpr int kWarpsPerBlock = kBlockThreads / simt::kWarpSize;
 constexpr std::uint32_t kChunk = simt::kWarpSize;
-/// Consecutive segments one warp takes. Its short segments share register
-/// networks; the rest sort one at a time.
-constexpr std::uint32_t kRunSegments = simt::kWarpSize;
 
 /// A block spends at most 32 kB of its 48 kB shared budget on staging, one
 /// slice per warp; a segment longer than a slice sorts in global memory.
@@ -196,21 +193,42 @@ void sort_segment(WarpExec& w, const std::uint64_t* from, std::uint64_t* seg,
   }
 }
 
-/// Short segments of one run that sort together: group g of `width` lanes
-/// holds the run's segment seg[g], padded with kSortPad.
-struct Pack {
-  std::uint32_t width = 0;
-  std::uint32_t groups = 0;
-  std::array<std::uint32_t, kChunk> seg{};
-};
+}  // namespace
 
-/// Sorts a pack in one register network. ext holds, in lane j, the extent
-/// of the run's segment j: end << 32 | start. The run starts at segment
-/// `first`; a group reads segment first + seg[g] from its row when there
-/// are rows, else in place.
-void sort_pack(WarpExec& w, std::uint64_t* data,
-               const LaneArray<std::uint64_t>& ext, const Pack& pack,
-               std::size_t first, SegmentRows rows) {
+namespace detail {
+
+simt::LaneArray<std::uint64_t> load_run_extents(WarpExec& w,
+                                                const RunSegments& in,
+                                                std::size_t first) {
+  // Lane j loads segment first + j's start and takes its end from lane
+  // j + 1; the last end is the run's, uniform.
+  const std::size_t last = std::min<std::size_t>(first + kRunSegments,
+                                                 in.num_segments);
+  Index at{};
+  LaneArray<int> right{};
+  w.vec([&](int lane) {
+    const auto l = static_cast<std::size_t>(lane);
+    at[l] = static_cast<std::uint32_t>(std::min(first + l, last));
+    right[l] = lane + 1;
+  });
+  Index start{};
+  w.gather(in.offsets, at, start);
+  Index next = start;
+  w.shfl(next, right);
+  LaneArray<std::uint64_t> ext{};
+  const std::uint32_t run_end = in.offsets[last];
+  w.vec([&](int lane) {
+    const auto l = static_cast<std::size_t>(lane);
+    const std::uint32_t end =
+        lane == simt::kWarpSize - 1 ? run_end : next[l];
+    ext[l] = std::uint64_t{end} << 32 | start[l];
+  });
+  return ext;
+}
+
+SortedPack sort_pack(WarpExec& w, const RunSegments& in,
+                     const LaneArray<std::uint64_t>& ext, const Pack& pack,
+                     std::size_t first) {
   const int shift = std::countr_zero(pack.width);
   LaneArray<int> src{};
   w.vec([&](int lane) {
@@ -220,47 +238,49 @@ void sort_pack(WarpExec& w, std::uint64_t* data,
   });
   LaneArray<std::uint64_t> mine = ext;
   w.shfl(mine, src);
-  Index idx{};
-  Index end{};
+  SortedPack out;
+  out.width = pack.width;
   LaneArray<std::uint64_t> from{};
-  Keys keys{};
   w.vec([&](int lane) {
     const auto l = static_cast<std::size_t>(lane);
     const bool used = (static_cast<std::uint32_t>(lane) >> shift) < pack.groups;
-    const std::uint32_t at =
-        static_cast<std::uint32_t>(lane) & (pack.width - 1);
-    idx[l] = static_cast<std::uint32_t>(mine[l]) + at;
-    end[l] = used ? static_cast<std::uint32_t>(mine[l] >> 32) : 0;
+    const auto start = static_cast<std::uint32_t>(mine[l]);
+    out.pos[l] = static_cast<std::uint32_t>(lane) & (pack.width - 1);
+    out.at[l] = start + out.pos[l];
+    out.len[l] = used ? static_cast<std::uint32_t>(mine[l] >> 32) - start : 0;
     // The group's row follows from its segment's index: no load.
-    from[l] = rows.keys != nullptr
-                  ? (first + static_cast<std::size_t>(src[l])) * rows.pitch + at
-                  : idx[l];
-    keys[l] = kSortPad;
+    from[l] = in.rows.keys != nullptr
+                  ? (first + static_cast<std::size_t>(src[l])) *
+                            in.rows.pitch +
+                        out.pos[l]
+                  : out.at[l];
+    out.keys[l] = kSortPad;
   });
-  auto in_segment = [&](int lane) {
+  const std::uint64_t* source =
+      in.rows.keys != nullptr ? in.rows.keys : in.data;
+  w.if_then([&](int lane) {
     const auto l = static_cast<std::size_t>(lane);
-    return idx[l] < end[l];
-  };
-  const GlobalKeys global{data};
-  const std::uint64_t* source = rows.keys != nullptr ? rows.keys : data;
-  w.if_then(in_segment, [&] { w.gather(source, from, keys); });
-  sort_in_registers(w, keys, pack.width);
-  w.if_then(in_segment, [&] { global.store(w, idx, keys); });
+    return out.pos[l] < out.len[l];
+  }, [&] { w.gather(source, from, out.keys); });
+  sort_in_registers(w, out.keys, pack.width);
+  return out;
 }
 
-}  // namespace
+}  // namespace detail
 
-void segmented_sort_u64(simt::Engine& engine, std::span<std::uint64_t> data,
-                        std::span<const std::uint32_t> seg_offsets,
-                        const std::string& kernel_name, SegmentRows rows) {
+namespace {
+
+/// Sorts the segments of at least min_len keys: all of them, or only the
+/// long ones when min_len is past kPackMaxKeys.
+void sort_segments(simt::Engine& engine, std::span<std::uint64_t> data,
+                   std::span<const std::uint32_t> seg_offsets,
+                   const std::string& kernel_name, SegmentRows rows,
+                   std::uint32_t min_len) {
   if (seg_offsets.size() < 2) return;
   const std::size_t num_segments = seg_offsets.size() - 1;
   auto length = [&](std::size_t s) {
     return seg_offsets[s + 1] - seg_offsets[s];
   };
-  // Segments the packs take: in place a one-key segment is already sorted;
-  // from rows it still has to be copied out.
-  const std::uint32_t min_packed = rows.keys != nullptr ? 1 : 2;
 
   // Every warp's slice fits the longest segment staged in shared memory; a
   // launch that stages none allocates nothing and keeps full occupancy.
@@ -274,10 +294,12 @@ void segmented_sort_u64(simt::Engine& engine, std::span<std::uint64_t> data,
   // ones are staged (the implicit H2D copy).
   std::span<const std::uint32_t> offsets = seg_offsets;
   simt::DeviceVector<std::uint32_t> staged_offsets;
-  if (!simt::is_device_address(seg_offsets.data(), seg_offsets.size_bytes())) {
+  if (min_len <= kPackMaxKeys &&
+      !simt::is_device_address(seg_offsets.data(), seg_offsets.size_bytes())) {
     staged_offsets.assign(seg_offsets.begin(), seg_offsets.end());
     offsets = {staged_offsets.data(), staged_offsets.size()};
   }
+  const RunSegments in{offsets.data(), num_segments, data.data(), rows};
 
   const std::size_t num_runs = (num_segments + kRunSegments - 1) / kRunSegments;
   simt::LaunchConfig config;
@@ -295,71 +317,52 @@ void segmented_sort_u64(simt::Engine& engine, std::span<std::uint64_t> data,
     ctx.par([&](WarpExec& w) {
       const SharedKeys mine{staging.subspan(
           static_cast<std::size_t>(w.warp_in_block()) * slice, slice)};
+      const GlobalKeys global{data.data()};
       const auto stride = static_cast<std::size_t>(w.num_warps_total());
       for (auto r = static_cast<std::size_t>(w.global_warp_id());
            r < num_runs; r += stride) {
-        const std::size_t first = r * kRunSegments;
-        const std::size_t last = std::min(first + kRunSegments, num_segments);
-        // Extents read here are warp-uniform: they pick the path and plan
-        // the packs.
-        bool any_short = false;
-        for (std::size_t s = first; s < last; ++s) {
-          const std::uint32_t n = length(s);
-          if (n >= min_packed && n <= kChunk) any_short = true;
-          if (n <= kChunk) continue;
-          // Longer segments merge through the warp's slice when they fit
-          // it, else in place; their first pass reads the row.
-          std::uint64_t* seg = data.data() + seg_offsets[s];
-          const std::uint64_t* from =
-              rows.keys != nullptr ? rows.keys + s * rows.pitch : seg;
-          if (n <= kMaxStagedKeys)
-            sort_segment(w, from, seg, n, mine);
-          else
-            sort_segment(w, from, seg, n, GlobalKeys{seg});
-        }
-        if (!any_short) continue;
-
-        // Per-lane extents: lane j loads segment first + j's start (one
-        // coalesced load) and takes its end from lane j + 1; the last end
-        // is the run's, uniform.
-        Index at{};
-        LaneArray<int> right{};
-        w.vec([&](int lane) {
-          const auto l = static_cast<std::size_t>(lane);
-          at[l] = static_cast<std::uint32_t>(std::min(first + l, last));
-          right[l] = lane + 1;
-        });
-        Index start{};
-        w.gather(offsets.data(), at, start);
-        Index next = start;
-        w.shfl(next, right);
-        LaneArray<std::uint64_t> ext{};
-        const std::uint32_t run_end = seg_offsets[last];
-        w.vec([&](int lane) {
-          const auto l = static_cast<std::size_t>(lane);
-          const std::uint32_t end =
-              lane == simt::kWarpSize - 1 ? run_end : next[l];
-          ext[l] = std::uint64_t{end} << 32 | start[l];
-        });
-
-        // Segments of up to 32 keys sit side by side, each padded to its
-        // pack's width: consecutive ones share a pack while it fits.
-        Pack pack;
-        for (std::size_t s = first; s < last; ++s) {
-          const std::uint32_t n = length(s);
-          if (n < min_packed || n > kChunk) continue;
-          const std::uint32_t width = std::bit_ceil(n);
-          if ((pack.groups + 1) * std::max(pack.width, width) > kChunk) {
-            sort_pack(w, data.data(), ext, pack, first, rows);
-            pack = Pack{};
-          }
-          pack.width = std::max(pack.width, width);
-          pack.seg[pack.groups++] = static_cast<std::uint32_t>(s - first);
-        }
-        sort_pack(w, data.data(), ext, pack, first, rows);
+        walk_run(
+            w, in, r * kRunSegments, min_len,
+            [&](const SortedPack& pack) {
+              w.if_then([&](int lane) {
+                const auto l = static_cast<std::size_t>(lane);
+                return pack.pos[l] < pack.len[l];
+              }, [&] { global.store(w, pack.at, pack.keys); });
+            },
+            [&](std::size_t s, std::uint32_t start, std::uint32_t n) {
+              // Longer segments merge through the warp's slice when they
+              // fit it, else in place; their first pass reads the row.
+              std::uint64_t* seg = data.data() + start;
+              const std::uint64_t* from =
+                  rows.keys != nullptr ? rows.keys + s * rows.pitch : seg;
+              if (n <= kMaxStagedKeys)
+                sort_segment(w, from, seg, n, mine);
+              else
+                sort_segment(w, from, seg, n, GlobalKeys{seg});
+            });
       }
     });
   });
+}
+
+}  // namespace
+
+void segmented_sort_u64(simt::Engine& engine, std::span<std::uint64_t> data,
+                        std::span<const std::uint32_t> seg_offsets,
+                        const std::string& kernel_name, SegmentRows rows) {
+  // In place a one-key segment is already sorted; from rows it still has
+  // to be copied out.
+  sort_segments(engine, data, seg_offsets, kernel_name, rows,
+                rows.keys != nullptr ? 1 : 2);
+}
+
+void sort_long_segments_u64(simt::Engine& engine,
+                            std::span<std::uint64_t> data,
+                            std::span<const std::uint32_t> seg_offsets,
+                            const std::string& kernel_name,
+                            SegmentRows rows) {
+  sort_segments(engine, data, seg_offsets, kernel_name, rows,
+                kPackMaxKeys + 1);
 }
 
 }  // namespace repro::gpualgo

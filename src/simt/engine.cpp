@@ -67,10 +67,14 @@ KernelStats Engine::finalize_launch(const LaunchConfig& config,
                                     KernelStats stats,
                                     std::size_t shared_high_water) {
   stats.shared_bytes = shared_high_water;
-  stats.occupancy =
+  const int resident_threads =
       compute_occupancy(spec_, config.block_threads, shared_high_water,
                         config.regs_per_thread)
-          .occupancy;
+          .active_threads_per_sm;
+  stats.occupancy_weight =
+      static_cast<std::uint64_t>(resident_threads) * stats.num_blocks;
+  stats.sm_threads = spec_.max_threads_per_sm;
+  stats.derive_occupancy();
   cost_.apply(spec_, stats);
   profile_.add(stats);
 

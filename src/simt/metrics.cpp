@@ -29,15 +29,18 @@ void KernelStats::merge(const KernelStats& other) {
   *this += other;
   block_threads = other.block_threads;
   regs_per_thread = other.regs_per_thread;
-  // Weight occupancy by block count so repeated launches average sensibly.
-  if (num_blocks > 0) {
-    const double prev_blocks =
-        static_cast<double>(num_blocks - other.num_blocks);
-    occupancy = (occupancy * prev_blocks +
-                 other.occupancy * static_cast<double>(other.num_blocks)) /
-                static_cast<double>(num_blocks);
-  }
+  occupancy_weight += other.occupancy_weight;
+  if (other.sm_threads != 0) sm_threads = other.sm_threads;
+  derive_occupancy();
   time_ms += other.time_ms;
+}
+
+void KernelStats::derive_occupancy() {
+  const std::uint64_t capacity =
+      num_blocks * static_cast<std::uint64_t>(sm_threads);
+  occupancy = capacity == 0 ? 0.0
+                            : static_cast<double>(occupancy_weight) /
+                                  static_cast<double>(capacity);
 }
 
 void ProfileRegistry::add(const KernelStats& stats) {
@@ -77,14 +80,9 @@ ProfileRegistry ProfileRegistry::diff(const ProfileRegistry& baseline) const {
     d.atomic_serial_passes -= before.atomic_serial_passes;
     d.simtcheck_hazards -= before.simtcheck_hazards;
     d.num_blocks -= before.num_blocks;
+    d.occupancy_weight -= before.occupancy_weight;
     d.time_ms -= before.time_ms;
-    // occupancy * num_blocks is additive under merge()'s weighting, so the
-    // snapshot-window average is recoverable exactly.
-    if (d.num_blocks > 0)
-      d.occupancy =
-          (after.occupancy * static_cast<double>(after.num_blocks) -
-           before.occupancy * static_cast<double>(before.num_blocks)) /
-          static_cast<double>(d.num_blocks);
+    d.derive_occupancy();
     const bool saw_work = d.num_blocks != 0 || d.vec_ops != 0 ||
                           d.st_bytes_requested != 0 || d.time_ms != 0.0;
     if (saw_work) delta.kernels_.emplace(name, std::move(d));

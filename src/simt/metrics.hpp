@@ -47,7 +47,13 @@ struct KernelStats {
   int block_threads = 0;
   int regs_per_thread = 0;
   std::size_t shared_bytes = 0;
+  /// Resident threads per SM over sm_threads, block-weighted across
+  /// launches: always derived from the integers below (derive_occupancy),
+  /// so merged and differenced rows repeat bit for bit.
   double occupancy = 0.0;
+  /// Resident threads per SM x blocks, summed over launches.
+  std::uint64_t occupancy_weight = 0;
+  int sm_threads = 0;  ///< the device's resident-thread limit per SM
 
   // Modeled execution time (see cost_model.hpp).
   double time_ms = 0.0;
@@ -89,11 +95,17 @@ struct KernelStats {
   /// and commutative, so merging per-worker shards of one launch in any
   /// order yields bit-identical totals — the property the SM-sharded
   /// parallel engine relies on. Launch-shape fields (block_threads,
-  /// regs_per_thread, occupancy) are left untouched.
+  /// regs_per_thread, occupancy and its weight) are left untouched.
   KernelStats& operator+=(const KernelStats& other);
 
-  /// Merges another launch of the same kernel (weighted by work).
+  /// Merges another launch of the same kernel: counters add, and occupancy
+  /// is re-derived from the summed weight.
   void merge(const KernelStats& other);
+
+  /// Sets occupancy to occupancy_weight / (num_blocks x sm_threads), or 0
+  /// for a row with no blocks. A quotient of two exact integers, so it
+  /// does not depend on how the launches were grouped.
+  void derive_occupancy();
 };
 
 /// Accumulates stats across launches, keyed by kernel name.
@@ -119,9 +131,9 @@ class ProfileRegistry {
   /// registry: every additive counter (and time_ms) is subtracted, and
   /// kernels that saw no work since the snapshot are dropped — so a
   /// long-lived engine (a SearchSession) can attribute exactly one
-  /// search's launches to that search's report. Occupancy is recovered
-  /// from the block-weighted average merge() maintains; shared_bytes (a
-  /// running max) keeps the current value.
+  /// search's launches to that search's report. Occupancy is derived from
+  /// the differenced weight, so it equals a fresh registry's bit for bit;
+  /// shared_bytes (a running max) keeps the current value.
   [[nodiscard]] ProfileRegistry diff(const ProfileRegistry& baseline) const;
 
  private:

@@ -1,5 +1,6 @@
 #include "util/options.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <vector>
 
@@ -40,6 +41,15 @@ double Options::get_double(const std::string& key, double fallback) const {
   const auto it = kv_.find(key);
   return it == kv_.end() ? fallback
                          : std::strtod(it->second.c_str(), nullptr);
+}
+
+std::vector<std::string> Options::unknown_keys(
+    std::span<const std::string_view> known) const {
+  std::vector<std::string> unknown;
+  for (const auto& [key, value] : kv_)
+    if (std::find(known.begin(), known.end(), key) == known.end())
+      unknown.push_back(key);
+  return unknown;
 }
 
 }  // namespace repro::util

@@ -3,14 +3,17 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace repro::util {
 
 /// Parses "--key=value" and bare "--flag" arguments. Positional arguments
 /// are collected in order. Unknown keys are kept (benches share a common
-/// option vocabulary but don't all use every key).
+/// option vocabulary but don't all use every key); a tool with a
+/// vocabulary of its own checks them with unknown_keys.
 class Options {
  public:
   Options(int argc, const char* const* argv);
@@ -25,6 +28,11 @@ class Options {
   [[nodiscard]] const std::vector<std::string>& positional() const {
     return positional_;
   }
+
+  /// The keys given that are not in `known`, in sorted order: empty when
+  /// every flag is one the caller reads.
+  [[nodiscard]] std::vector<std::string> unknown_keys(
+      std::span<const std::string_view> known) const;
 
  private:
   std::map<std::string, std::string> kv_;

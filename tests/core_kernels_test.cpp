@@ -170,6 +170,27 @@ void expect_flat_list(const core::FilteredBins& filtered,
     EXPECT_EQ(filtered.segments[g], ref.segments[g]) << "segment " << g;
 }
 
+/// K3 leaves every bin longer than a warp sorted in `hits`, as `reference`
+/// (make_bins of the grid's hits) holds it. Returns how many there are.
+std::size_t expect_long_bins_sorted(const core::AssembledBins& assembled,
+                                    const core::AssembledBins& reference) {
+  EXPECT_TRUE(assembled.sorted);
+  EXPECT_EQ(assembled.num_bins(), reference.num_bins());
+  std::size_t long_bins = 0;
+  for (std::size_t b = 0; b < assembled.num_bins(); ++b) {
+    EXPECT_EQ(assembled.offsets[b], reference.offsets[b]);
+    const std::uint32_t n = assembled.offsets[b + 1] - assembled.offsets[b];
+    if (n <= 32) continue;
+    ++long_bins;
+    const auto at = static_cast<std::ptrdiff_t>(assembled.offsets[b]);
+    EXPECT_TRUE(std::equal(assembled.hits.begin() + at,
+                           assembled.hits.begin() + at + n,
+                           reference.hits.begin() + at))
+        << "bin " << b;
+  }
+  return long_bins;
+}
+
 TEST(SortAndFilter, BinsSortedAndSurvivorsObeyTwoHitRule) {
   PipelineFixture fx(127, 25, 311);
   simt::Engine engine;
@@ -179,19 +200,15 @@ TEST(SortAndFilter, BinsSortedAndSurvivorsObeyTwoHitRule) {
                                    fx.device_block, bins);
   auto assembled = core::launch_assemble(engine, bins);
   core::launch_sort(engine, assembled);
-
-  // Every bin ascending after the sort.
-  for (std::size_t b = 0; b < assembled.num_bins(); ++b) {
-    const std::uint32_t base = assembled.offsets[b];
-    for (std::uint32_t i = base + 1; i < assembled.offsets[b + 1]; ++i)
-      ASSERT_LE(assembled.hits[i - 1], assembled.hits[i]);
-  }
+  const core::AssembledBins reference =
+      testref::make_bins(testref::grid_bins(bins));
+  expect_long_bins_sorted(assembled, reference);
 
   const auto filtered = core::launch_filter(engine, config, assembled);
   // Survivors: each must have a same-(seq,diag) predecessor within the
   // window among the *unfiltered* sorted hits.
-  std::vector<std::uint64_t> all(assembled.hits.begin(),
-                                 assembled.hits.end());
+  std::vector<std::uint64_t> all(reference.hits.begin(),
+                                 reference.hits.end());
   std::sort(all.begin(), all.end());
   const auto window =
       static_cast<std::uint32_t>(fx.params.two_hit_window);
@@ -204,7 +221,7 @@ TEST(SortAndFilter, BinsSortedAndSurvivorsObeyTwoHitRule) {
                 core::hit_spos(hit) - core::hit_spos(other) <= window);
   }
   EXPECT_GT(filtered.total_survivors, 0u);
-  expect_flat_list(filtered, testref::flat_reference(assembled, fx.params));
+  expect_flat_list(filtered, testref::flat_reference(reference, fx.params));
 }
 
 TEST(SortAndFilter, LeftNeighbourCrossesChunkBoundaries) {
@@ -237,8 +254,9 @@ class SortAndFilterBins : public ::testing::TestWithParam<int> {};
 
 TEST_P(SortAndFilterBins, MatchHostReference) {
   // K3 and K4 give each warp a run of consecutive bins, so the bin count
-  // sets how many runs there are and how full they get. K3 reads each bin
-  // out of the grid; the reference sorts the grid's claimed slots.
+  // sets how many runs there are and how full they get. K3 reads each long
+  // bin out of the grid, K4 each short one; the reference sorts the grid's
+  // claimed slots.
   PipelineFixture fx(127, 20, 313);
   simt::Engine engine;
   auto config = small_kernel_config();
@@ -247,35 +265,31 @@ TEST_P(SortAndFilterBins, MatchHostReference) {
   (void)core::launch_hit_detection(engine, config, fx.device_query,
                                    fx.device_block, bins);
   auto assembled = core::launch_assemble(engine, bins);
-  std::vector<std::uint64_t> expected;
-  for (std::size_t b = 0; b < bins.total_bins(); ++b) {
-    const auto first = bins.slots.begin() +
-                       static_cast<std::ptrdiff_t>(bins.slot_index(b, 0));
-    expected.insert(expected.end(), first, first + bins.counts[b]);
-    std::sort(expected.end() - bins.counts[b], expected.end());
-  }
+  const core::AssembledBins reference =
+      testref::make_bins(testref::grid_bins(bins));
   core::launch_sort(engine, assembled);
-  EXPECT_TRUE(std::equal(assembled.hits.begin(), assembled.hits.end(),
-                         expected.begin(), expected.end()));
+  expect_long_bins_sorted(assembled, reference);
 
   const auto filtered = core::launch_filter(engine, config, assembled);
   EXPECT_EQ(filtered.num_bins, assembled.num_bins());
   EXPECT_GT(filtered.total_segments, 0u);
-  expect_flat_list(filtered, testref::flat_reference(assembled, fx.params));
+  expect_flat_list(filtered, testref::flat_reference(reference, fx.params));
 }
 
 INSTANTIATE_TEST_SUITE_P(BinsPerWarp, SortAndFilterBins,
                          ::testing::Values(32, 256));
 
 TEST(SegmentIndex, RunsOfBinsMatchHostReference) {
-  // K4 walks a run of consecutive bins (16 of them) as one stream of hits.
-  // Forty bins make two full runs and a short one: bins of 0, 1, 2, 31,
-  // 32, 33 and 65 hits side by side; a run that ends in four empty bins; a
-  // run whose first survivor is its second hit (its first in one-hit mode)
-  // and whose last hit survives; and a short run that ends in empty bins.
+  // K4 walks a run of consecutive bins (32 of them) as one stream of hits.
+  // Seventy-six bins make two full runs and a short one: bins of 0, 1, 2,
+  // 31, 32, 33 and 65 hits side by side; a run that ends in four empty
+  // bins; a run whose first survivor is its second hit (its first in
+  // one-hit mode) and whose last hit survives; and a short run that ends
+  // in empty bins.
+  constexpr std::size_t kRun = 32;
   util::Rng rng(43);
   const std::vector<std::uint32_t> sizes = {0, 1, 2, 31, 32, 33, 65};
-  std::vector<std::vector<std::uint64_t>> bins(40);
+  std::vector<std::vector<std::uint64_t>> bins(2 * kRun + 12);
   const auto fill = [&](std::size_t b, std::uint32_t n) {
     // Each bin has a sequence of its own, as K1's bins do.
     for (std::uint32_t i = 0; i < n; ++i)
@@ -284,12 +298,16 @@ TEST(SegmentIndex, RunsOfBinsMatchHostReference) {
           static_cast<std::int32_t>(rng.below(3)),
           static_cast<std::uint32_t>(rng.below(300))));
   };
-  for (std::size_t b = 0; b < 12; ++b) fill(b, sizes[b % sizes.size()]);
-  bins[16] = {core::pack_hit(16, 0, 100), core::pack_hit(16, 0, 105)};
-  for (std::size_t b = 17; b < 32; ++b) fill(b, sizes[(b * 5) % sizes.size()]);
-  bins[31].push_back(core::pack_hit(31, 5, 500));
-  bins[31].push_back(core::pack_hit(31, 5, 510));
-  for (std::size_t b = 32; b < 38; ++b) fill(b, sizes[(b * 3) % sizes.size()]);
+  for (std::size_t b = 0; b < kRun - 4; ++b) fill(b, sizes[b % sizes.size()]);
+  const auto first = static_cast<std::uint32_t>(kRun);
+  const auto last = static_cast<std::uint32_t>(2 * kRun - 1);
+  bins[first] = {core::pack_hit(first, 0, 100), core::pack_hit(first, 0, 105)};
+  for (std::size_t b = kRun + 1; b < 2 * kRun; ++b)
+    fill(b, sizes[(b * 5) % sizes.size()]);
+  bins[last].push_back(core::pack_hit(last, 5, 500));
+  bins[last].push_back(core::pack_hit(last, 5, 510));
+  for (std::size_t b = 2 * kRun; b < 2 * kRun + 6; ++b)
+    fill(b, sizes[(b * 3) % sizes.size()]);
   const core::AssembledBins assembled = testref::make_bins(bins);
 
   for (const bool one_hit : {false, true}) {
@@ -302,11 +320,122 @@ TEST(SegmentIndex, RunsOfBinsMatchHostReference) {
       return std::find(ref.survivors.begin(), ref.survivors.end(), hit) !=
              ref.survivors.end();
     };
-    EXPECT_EQ(survives(core::pack_hit(16, 0, 100)), one_hit);
-    EXPECT_TRUE(survives(core::pack_hit(16, 0, 105)));
-    EXPECT_TRUE(survives(core::pack_hit(31, 5, 510)));
+    EXPECT_EQ(survives(core::pack_hit(first, 0, 100)), one_hit);
+    EXPECT_TRUE(survives(core::pack_hit(first, 0, 105)));
+    EXPECT_TRUE(survives(core::pack_hit(last, 5, 510)));
     expect_flat_list(filtered, ref);
   }
+}
+
+TEST(SortAndFilter, ShortBinsSortInsideTheFilterPass) {
+  // K3 sorts only the bins longer than a warp; K4 sorts the others in
+  // register packs as it filters them, and streams each long bin between
+  // its packs. Three runs of bins of 0/1/2/31/32/33/1024/1025 hits in
+  // several orders, a long bin between two packs, and pairs exactly
+  // two_hit_window and window + 1 apart in a short and in a long bin; the
+  // hits come unsorted. The flat list must equal the host reference for
+  // grid-row input, unsorted in-place input and sorted in-place input, in
+  // two-hit and one-hit mode.
+  const core::Config base = small_kernel_config();
+  const auto window = static_cast<std::uint32_t>(base.params.two_hit_window);
+  util::Rng rng(2323);
+  const std::vector<std::uint32_t> sizes = {
+      0,    1,    2,  31, 32, 33, 1024, 1025,  // ascending
+      1025, 1024, 33, 32, 31, 2,  1,    0,     // descending
+      2,    2,    1024, 2, 2,                  // a long bin between packs
+      4,                                       // window edges, short bin
+      31,   1,    1025, 0, 0, 2, 32, 33, 17, 5,
+      1028,                                    // window edges, long bin
+      3,    1024, 9,  33, 0, 32, 1, 31, 2, 1025, 16, 8, 7, 1, 2, 2,
+      30,   1,    0,  1025, 2, 33, 4, 0, 1, 2, 31, 32, 33, 2, 5, 1024,
+      1,    2};
+  std::vector<std::vector<std::uint64_t>> bins(sizes.size());
+  std::vector<std::uint64_t> paired_at_window;
+  std::vector<std::uint64_t> past_window;
+  for (std::size_t b = 0; b < bins.size(); ++b) {
+    const auto seq = static_cast<std::uint32_t>(b);
+    std::uint32_t n = sizes[b];
+    if (n == 4 || n == 1028) {
+      // Diagonal 50 pairs at exactly the window; diagonal 60 misses by one.
+      bins[b] = {core::pack_hit(seq, 50, 100),
+                 core::pack_hit(seq, 50, 100 + window),
+                 core::pack_hit(seq, 60, 300),
+                 core::pack_hit(seq, 60, 300 + window + 1)};
+      paired_at_window.push_back(bins[b][1]);
+      past_window.push_back(bins[b][3]);
+      n -= 4;
+    }
+    for (std::uint32_t i = 0; i < n; ++i)
+      bins[b].push_back(core::pack_hit(
+          seq, static_cast<std::int32_t>(rng.below(3)),
+          static_cast<std::uint32_t>(rng.below(2000))));
+    for (std::size_t i = bins[b].size(); i > 1; --i)
+      std::swap(bins[b][i - 1], bins[b][rng.below(i)]);
+  }
+  ASSERT_GT(bins.size(), 2 * 32u);
+  const core::AssembledBins reference = testref::make_bins(bins);
+
+  for (const bool one_hit : {false, true}) {
+    core::Config config = base;
+    config.params.one_hit = one_hit;
+    const auto ref = testref::flat_reference(reference, config.params);
+    const auto survives = [&](std::uint64_t hit) {
+      return std::find(ref.survivors.begin(), ref.survivors.end(), hit) !=
+             ref.survivors.end();
+    };
+    for (const std::uint64_t hit : paired_at_window)
+      EXPECT_TRUE(survives(hit));
+    for (const std::uint64_t hit : past_window)
+      EXPECT_EQ(survives(hit), one_hit);
+
+    // Grid rows, as K1 leaves them; K4 will not filter unsorted long bins.
+    simt::Engine engine;
+    const BinGrid grid = testref::make_grid(bins, 1100);
+    auto from_grid = core::launch_assemble(engine, grid);
+    EXPECT_THROW((void)core::launch_filter(engine, config, from_grid),
+                 std::logic_error);
+    core::launch_sort(engine, from_grid);
+    EXPECT_EQ(expect_long_bins_sorted(from_grid, reference), 17u);
+    expect_flat_list(core::launch_filter(engine, config, from_grid), ref);
+
+    // In place and unsorted: K3 sorts the long bins where they are.
+    core::AssembledBins in_place;
+    in_place.offsets.push_back(0);
+    for (const auto& bin : bins) {
+      in_place.hits.insert(in_place.hits.end(), bin.begin(), bin.end());
+      in_place.offsets.push_back(
+          static_cast<std::uint32_t>(in_place.hits.size()));
+    }
+    core::launch_sort(engine, in_place);
+    expect_long_bins_sorted(in_place, reference);
+    expect_flat_list(core::launch_filter(engine, config, in_place), ref);
+
+    // In place and already sorted.
+    expect_flat_list(core::launch_filter(engine, config, reference), ref);
+  }
+}
+
+TEST(SortAndFilter, SortLaunchesWithoutLongBins) {
+  // A block with no bin over 32 hits leaves K3 nothing to sort, but its
+  // launch still runs: every search has a hit_sort row.
+  std::vector<std::vector<std::uint64_t>> bins(40);
+  for (std::size_t b = 0; b < bins.size(); ++b)
+    for (std::uint32_t i = 0; i < b % 33; ++i)
+      bins[b].push_back(core::pack_hit(static_cast<std::uint32_t>(b), 0,
+                                       (i * 7919) % 500));
+  simt::Engine engine;
+  const BinGrid grid = testref::make_grid(bins, 64);
+  auto assembled = core::launch_assemble(engine, grid);
+  core::launch_sort(engine, assembled);
+  ASSERT_TRUE(engine.profile().has(core::kKernelSort));
+  const simt::KernelStats& sort = engine.profile().at(core::kKernelSort);
+  EXPECT_GT(sort.num_blocks, 0u);
+  EXPECT_EQ(sort.vec_ops, 0u);
+  EXPECT_EQ(sort.ld_transactions + sort.st_transactions, 0u);
+  const core::Config config = small_kernel_config();
+  expect_flat_list(core::launch_filter(engine, config, assembled),
+                   testref::flat_reference(testref::make_bins(bins),
+                                           config.params));
 }
 
 TEST(SegmentIndex, FlatListMatchesHostReference) {
@@ -321,7 +450,10 @@ TEST(SegmentIndex, FlatListMatchesHostReference) {
   const auto filtered = core::launch_filter(engine, config, assembled);
   EXPECT_EQ(filtered.num_bins, assembled.num_bins());
   EXPECT_GT(filtered.total_segments, 0u);
-  expect_flat_list(filtered, testref::flat_reference(assembled, fx.params));
+  expect_flat_list(filtered,
+                   testref::flat_reference(
+                       testref::make_bins(testref::grid_bins(bins)),
+                       fx.params));
 }
 
 TEST(SegmentIndex, EmptyBinsAndSegmentsAcrossChunks) {

@@ -195,8 +195,8 @@ TEST_F(ChaosEquivalence, ForcedBinOverflowPreservesOutput) {
 
 TEST_F(ChaosEquivalence, SortFromAGridGrownPast1024) {
   // Five forced overflows grow the bins from 64 to 2048 slots before the
-  // first block's detection holds: K3 then reads every bin from a row that
-  // far into the grown grid, and the search must not notice.
+  // first block's detection holds: K3 and K4 then read every bin from a
+  // row that far into the grown grid, and the search must not notice.
   const auto w = make_workload(107);
   auto config = chaos_config();
   const auto reference = core::CuBlastp(config).search(w.query, w.db);

@@ -1,6 +1,7 @@
-// Host references for K4's flat segment list and K5's extensions, plus a
-// hand-built set of sorted bins with very uneven segments. Shared by the
-// kernel tests and the simtcheck clean-surface tests.
+// Host references for K4's flat segment list and K5's extensions, bins
+// built by hand (sorted in place, or in a grid as K1 leaves them), and a
+// set of sorted bins with very uneven segments. Shared by the kernel tests
+// and the simtcheck clean-surface tests.
 #pragma once
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include "blast/ungapped.hpp"
 #include "core/bins.hpp"
 #include "core/kernels.hpp"
+#include "simt/device_buffer.hpp"
 #include "util/rng.hpp"
 
 namespace repro::testref {
@@ -39,7 +41,43 @@ inline core::AssembledBins make_bins(
     assembled.offsets.push_back(
         static_cast<std::uint32_t>(assembled.hits.size()));
   }
+  assembled.sorted = true;
   return assembled;
+}
+
+/// The hits K1 left in each bin of `grid`, in slot order: what K3 and K4
+/// read out of it. make_bins of these is the sorted reference.
+inline std::vector<std::vector<std::uint64_t>> grid_bins(
+    const core::BinGrid& grid) {
+  std::vector<std::vector<std::uint64_t>> bins(grid.total_bins());
+  for (std::size_t b = 0; b < bins.size(); ++b) {
+    const auto first = grid.slots.begin() +
+                       static_cast<std::ptrdiff_t>(grid.slot_index(b, 0));
+    bins[b].assign(first, first + grid.counts[b]);
+  }
+  return bins;
+}
+
+/// A grid of one warp's bins holding `bins` as K1 leaves them: bin b's hits
+/// in the first slots of row b, in the order given, and its count. The
+/// slots past each count hold small keys that would sort first if read,
+/// and initcheck sees them as never written.
+inline core::BinGrid make_grid(
+    const std::vector<std::vector<std::uint64_t>>& bins,
+    std::uint32_t capacity) {
+  core::BinGrid grid(1, static_cast<int>(bins.size()), capacity);
+  for (std::size_t i = 0; i < grid.slots.size(); ++i) grid.slots[i] = i % 4;
+  simt::mark_device_uninitialized(
+      grid.slots.data(), grid.slots.size() * sizeof(std::uint64_t));
+  for (std::size_t b = 0; b < bins.size(); ++b) {
+    if (bins[b].size() > capacity)
+      throw std::invalid_argument("make_grid: a bin exceeds the capacity");
+    std::uint64_t* row = grid.slots.data() + grid.slot_index(b, 0);
+    std::copy(bins[b].begin(), bins[b].end(), row);
+    simt::mark_device_initialized(row, bins[b].size() * sizeof(std::uint64_t));
+    grid.counts[b] = static_cast<std::uint32_t>(bins[b].size());
+  }
+  return grid;
 }
 
 /// The survivors of every sorted bin, in bin order, and the index of each

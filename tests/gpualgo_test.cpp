@@ -265,6 +265,44 @@ TEST(Segsort, ReadsEachSegmentFromItsRow) {
                          rows_before.end()));
 }
 
+TEST(Segsort, LongOnlyLeavesShortSegmentsAlone) {
+  // sort_long_segments_u64 sorts the segments longer than a warp and
+  // neither reads nor writes the others: in place they keep their order,
+  // and from rows their output is never written.
+  const std::vector<std::uint32_t> lengths = {5, 33, 0, 32, 1, 1025, 2, 64};
+  util::Rng rng(33);
+  std::vector<std::uint32_t> offsets{0};
+  std::vector<std::uint64_t> keys;
+  for (const std::uint32_t n : lengths) {
+    for (std::uint32_t i = 0; i < n; ++i) keys.push_back(rng.below(1000));
+    offsets.push_back(static_cast<std::uint32_t>(keys.size()));
+  }
+  std::vector<std::uint64_t> expected = keys;
+  for (std::size_t s = 0; s < lengths.size(); ++s)
+    if (lengths[s] > gpualgo::kPackMaxKeys)
+      std::sort(expected.begin() + offsets[s],
+                expected.begin() + offsets[s + 1]);
+
+  simt::Engine engine;
+  std::vector<std::uint64_t> in_place = keys;
+  gpualgo::sort_long_segments_u64(engine, in_place, offsets, "long_only");
+  EXPECT_EQ(in_place, expected);
+
+  constexpr std::uint32_t kPitch = 1100;
+  simt::DeviceVector<std::uint64_t> rows(lengths.size() * kPitch);
+  for (std::size_t s = 0; s < lengths.size(); ++s)
+    std::copy(keys.begin() + offsets[s], keys.begin() + offsets[s + 1],
+              rows.begin() + static_cast<std::ptrdiff_t>(s * kPitch));
+  simt::DeviceVector<std::uint64_t> out(keys.size(), 0x5eedull);
+  gpualgo::sort_long_segments_u64(engine, out, offsets, "long_only",
+                                  {rows.data(), kPitch});
+  for (std::size_t s = 0; s < lengths.size(); ++s)
+    for (std::uint32_t i = offsets[s]; i < offsets[s + 1]; ++i)
+      EXPECT_EQ(out[i], lengths[s] > gpualgo::kPackMaxKeys ? expected[i]
+                                                           : 0x5eedull)
+          << "segment " << s << " key " << i - offsets[s];
+}
+
 TEST(Segsort, AlreadySortedStaysSorted) {
   std::vector<std::uint64_t> data(256);
   std::iota(data.begin(), data.end(), 0);

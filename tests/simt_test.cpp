@@ -503,5 +503,37 @@ TEST(Engine, ProfileRegistryAggregates) {
   EXPECT_EQ(engine.profile().at("k").num_blocks, 3u);
 }
 
+TEST(Engine, MixedOccupancyDiffEqualsOneShotBitForBit) {
+  // One kernel name launched with 32-thread blocks (16 per SM: occupancy
+  // 0.25) and 128-thread blocks (occupancy 1.0). A long-lived engine's
+  // per-query diff must equal a fresh engine's profile of the same
+  // launches bit for bit. Averaging occupancy by float multiply and divide
+  // gave 0.576086956521739 against 0.5760869565217391 here.
+  const auto noop = [](simt::BlockCtx& ctx) {
+    ctx.par([](simt::WarpExec& w) { w.vec([](int) {}); });
+  };
+  const auto query = [&](simt::Engine& engine) {
+    engine.launch({"mixed", 11, 32, 16}, noop);
+    engine.launch({"mixed", 10, 128, 16}, noop);
+    engine.launch({"mixed", 2, 32, 16}, noop);
+  };
+  simt::Engine fresh;
+  query(fresh);
+  simt::Engine warm;
+  warm.launch({"mixed", 3, 32, 16}, noop);
+  const simt::ProfileRegistry before = warm.profile();
+  query(warm);
+  const simt::ProfileRegistry delta = warm.profile().diff(before);
+
+  const simt::KernelStats& once = fresh.profile().at("mixed");
+  const simt::KernelStats& diffed = delta.at("mixed");
+  EXPECT_EQ(once.num_blocks, 23u);
+  EXPECT_EQ(once.occupancy_weight, 13u * 512u + 10u * 2048u);
+  EXPECT_EQ(once.occupancy, (13 * 512 + 10 * 2048) / (23 * 2048.0));
+  EXPECT_EQ(diffed.num_blocks, once.num_blocks);
+  EXPECT_EQ(diffed.occupancy_weight, once.occupancy_weight);
+  EXPECT_EQ(diffed.occupancy, once.occupancy);  // exact, not approximate
+}
+
 }  // namespace
 }  // namespace repro

@@ -1,5 +1,5 @@
 // SimtCheckClean: every production kernel — hit detection, binning/
-// sorting/filtering (K3 also on a re-armed grid), all three
+// sorting/filtering (K3 and K4 also on a re-armed grid), all three
 // ungapped-extension strategies, the gapped ablation kernel, and both
 // coarse-grained baselines — must run under the simtcheck hazard analyzer
 // with zero findings, serial and SM-sharded.
@@ -207,12 +207,12 @@ TEST(SimtCheckClean, SegmentedSortEveryPath) {
 }
 
 TEST(SimtCheckClean, SortReadsOnlyClaimedSlotsOfARearmedGrid) {
-  // K3 reads each bin straight out of K1's grid. A re-armed grid still
-  // holds the previous launch's hits, but initcheck marks its slots
-  // undefined again, so reading past a bin's count is reported. Here a
-  // long query fills the grid at capacity 2048, the grid is re-armed at
-  // 1100 (a new row pitch) and a short query claims fewer slots; then K3
-  // and K4 run, serial and SM-sharded.
+  // K3 reads each long bin straight out of K1's grid, and K4 each short
+  // one. A re-armed grid still holds the previous launch's hits, but
+  // initcheck marks its slots undefined again, so reading past a bin's
+  // count is reported. Here a long query fills the grid at capacity 2048,
+  // the grid is re-armed at 1100 (a new row pitch) and a short query
+  // claims fewer slots; then K3 and K4 run, serial and SM-sharded.
   const PipelineFixture fx;
   const auto short_query = bio::make_benchmark_query(127).residues;
   blast::SearchParams params;
@@ -242,24 +242,33 @@ TEST(SimtCheckClean, SortReadsOnlyClaimedSlotsOfARearmedGrid) {
     grid.rearm(1100);
     ASSERT_FALSE(
         core::launch_hit_detection(engine, config, dq, blk, grid).overflowed);
-
-    std::vector<std::uint64_t> expected;
-    for (std::size_t b = 0; b < grid.total_bins(); ++b) {
-      const auto first = grid.slots.begin() +
-                         static_cast<std::ptrdiff_t>(grid.slot_index(b, 0));
-      expected.insert(expected.end(), first, first + grid.counts[b]);
-      std::sort(expected.end() - grid.counts[b], expected.end());
-    }
-    ASSERT_GT(expected.size(), 0u);
+    const core::AssembledBins reference =
+        testref::make_bins(testref::grid_bins(grid));
+    ASSERT_GT(reference.hits.size(), 0u);
 
     core::AssembledBins assembled = core::launch_assemble(engine, grid);
     core::launch_sort(engine, assembled);
-    (void)core::launch_filter(engine, config, assembled);
+    const auto filtered = core::launch_filter(engine, config, assembled);
     EXPECT_EQ(engine.hazards().total, 0u)
         << "workers " << workers << "\n"
         << engine.hazards().summary();
-    EXPECT_TRUE(std::equal(assembled.hits.begin(), assembled.hits.end(),
-                           expected.begin(), expected.end()));
+    std::size_t long_bins = 0;
+    for (std::size_t b = 0; b < reference.num_bins(); ++b) {
+      const std::uint32_t at = reference.offsets[b];
+      const std::uint32_t n = reference.offsets[b + 1] - at;
+      if (n <= 32) continue;
+      ++long_bins;
+      EXPECT_TRUE(std::equal(assembled.hits.begin() + at,
+                             assembled.hits.begin() + at + n,
+                             reference.hits.begin() + at));
+    }
+    EXPECT_GT(long_bins, 0u);
+    const auto ref = testref::flat_reference(reference, params);
+    ASSERT_EQ(filtered.total_survivors, ref.survivors.size());
+    EXPECT_TRUE(std::equal(filtered.hits.begin(), filtered.hits.end(),
+                           ref.survivors.begin(), ref.survivors.end()));
+    EXPECT_TRUE(std::equal(filtered.segments.begin(), filtered.segments.end(),
+                           ref.segments.begin(), ref.segments.end()));
   }
 }
 

@@ -314,6 +314,22 @@ TEST(Options, ParsesKeyValueAndFlags) {
   EXPECT_EQ(opts.positional()[0], "pos1");
 }
 
+TEST(Options, UnknownKeysNameEveryFlagOutsideTheVocabulary) {
+  // A mistyped flag (--shard for --shards) and a removed one (--prefilter)
+  // are named, bare flags included; known keys and positionals are not.
+  const char* argv[] = {"prog", "--shard=4", "--db=x.fasta", "pos",
+                        "--prefilter=auto", "--simtcheck", "--report"};
+  const util::Options opts(7, argv);
+  const std::vector<std::string_view> known = {"db", "shards", "simtcheck",
+                                               "report"};
+  EXPECT_EQ(opts.unknown_keys(known),
+            (std::vector<std::string>{"prefilter", "shard"}));
+  const std::vector<std::string_view> all = {"db",     "shards", "shard",
+                                             "report", "prefilter",
+                                             "simtcheck"};
+  EXPECT_TRUE(opts.unknown_keys(all).empty());
+}
+
 TEST(Options, GetDoubleFallsBack) {
   const char* argv[] = {"prog", "--x=2.5"};
   util::Options opts(2, argv);
