@@ -50,18 +50,7 @@ Workload make_workload(const BenchSetup& setup, std::size_t query_length,
   return w;
 }
 
-core::Config default_cublastp_config() {
-  core::Config config;
-  config.num_bins_per_warp = 128;
-  config.strategy = core::ExtensionStrategy::kWindow;
-  config.scoring = core::ScoringMode::kAuto;
-  config.use_readonly_cache = true;
-  config.db_blocks = 4;
-  config.cpu_threads = 4;
-  config.detection_blocks = 8;
-  config.detection_block_threads = 256;
-  return config;
-}
+core::Config default_cublastp_config() { return core::Config{}; }
 
 baselines::CoarseConfig default_coarse_config() {
   baselines::CoarseConfig config;
@@ -120,7 +109,6 @@ std::string provenance_json(const core::Config& config) {
        << ", \"db_blocks\": " << config.db_blocks
        << ", \"cpu_threads\": " << config.cpu_threads
        << ", \"detection_blocks\": " << config.detection_blocks
-       << ", \"detection_block_threads\": " << config.detection_block_threads
        << ", \"bin_capacity\": " << config.bin_capacity
        << ", \"max_bin_retries\": " << config.max_bin_retries
        << ", \"max_bin_capacity\": " << config.max_bin_capacity

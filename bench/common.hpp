@@ -46,9 +46,10 @@ struct Workload {
                                      std::size_t query_length,
                                      bool env_nr);
 
-/// The cuBLASTP configuration used across benches (paper defaults:
-/// 128 bins/warp, window-based extension, read-only cache on, 4 CPU
-/// threads, automatic scoring-structure choice).
+/// The cuBLASTP configuration used across benches: core::Config's
+/// defaults (one 8-warp K1 block per SM, 64 bins/warp, window-based
+/// extension, read-only cache on, 4 CPU threads, automatic
+/// scoring-structure choice), so benches, perfbench and blastp_cli agree.
 [[nodiscard]] core::Config default_cublastp_config();
 
 /// The coarse-baseline configuration used across benches.

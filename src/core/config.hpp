@@ -7,8 +7,12 @@
 #include <string>
 
 #include "blast/types.hpp"
+#include "simt/device.hpp"
 
 namespace repro::core {
+
+/// K1's block: 8 warps, each owning its own bins (Algorithm 2).
+inline constexpr int kDetectionBlockThreads = 256;
 
 /// Which fine-grained ungapped-extension kernel to run (paper §3.4,
 /// Fig. 9b-d; selectable at run time, as the paper prescribes).
@@ -28,12 +32,14 @@ enum class ScoringMode {
 struct Config {
   blast::SearchParams params;
 
-  /// Bins per detection warp (paper Fig. 14; 128 is the paper's optimum).
-  int num_bins_per_warp = 128;
+  /// Bins per detection warp (paper Fig. 14, whose optimum was 128). On
+  /// the 104-warp grid below Fig. 14's sweep is best at 64, which keeps
+  /// the resident grid of 104 warps x 64 bins x 256 slots at 13.6 MB.
+  int num_bins_per_warp = 64;
 
-  /// Detection grid shape: warps own bins, so the grid is fixed.
-  int detection_blocks = 8;
-  int detection_block_threads = 256;  ///< 8 warps per block
+  /// K1 blocks of kDetectionBlockThreads: one per SM of the modeled K20c.
+  /// Warps own bins, so the grid is fixed for a search.
+  int detection_blocks = simt::DeviceSpec{}.num_sms;
 
   /// Initial per-bin capacity in packed hits; grows on overflow.
   std::size_t bin_capacity = 256;
@@ -46,8 +52,8 @@ struct Config {
 
   /// Hard ceiling on the grown per-bin capacity (guards the uint32 counter
   /// fields long before they can wrap, and bounds the slots buffer: it
-  /// holds warps x bins x capacity 8-byte elements, ~1 GiB at this cap for
-  /// the default grid).
+  /// holds warps x bins x capacity 8-byte elements, about 0.87 GB at this
+  /// cap for the default grid).
   std::uint32_t max_bin_capacity = 1u << 14;
 
   ExtensionStrategy strategy = ExtensionStrategy::kWindow;
@@ -121,7 +127,7 @@ struct Config {
   std::string profile_path;
 
   [[nodiscard]] int detection_warps() const {
-    return detection_blocks * detection_block_threads / 32;
+    return detection_blocks * kDetectionBlockThreads / simt::kWarpSize;
   }
 };
 

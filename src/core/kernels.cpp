@@ -55,7 +55,7 @@ DetectionResult launch_hit_detection(simt::Engine& engine,
   simt::LaunchConfig cfg;
   cfg.name = kKernelDetection;
   cfg.grid_blocks = config.detection_blocks;
-  cfg.block_threads = config.detection_block_threads;
+  cfg.block_threads = kDetectionBlockThreads;
   cfg.regs_per_thread = 40;
 
   engine.launch(cfg, [&](BlockCtx& ctx) {
@@ -88,17 +88,23 @@ DetectionResult launch_hit_detection(simt::Engine& engine,
       });
     });
 
-    // Main loop: warp per sequence, lane per word position.
+    // Main loop: warp per sequence, lane per word position. Sequences are
+    // dealt over the blocks first, so a database block with fewer
+    // sequences than warps still reaches every SM; a warp's bins stay at
+    // its global warp id.
     ctx.par([&](WarpExec& w) {
       const auto total_warps = static_cast<std::uint32_t>(w.num_warps_total());
-      const auto gw = static_cast<std::uint32_t>(w.global_warp_id());
+      const auto rank = static_cast<std::uint32_t>(
+          w.warp_in_block() * w.grid_blocks() + w.block_id());
       const std::uint32_t top_base =
           static_cast<std::uint32_t>(w.warp_in_block()) *
           static_cast<std::uint32_t>(num_bins);
       const std::uint64_t warp_bin_base =
-          static_cast<std::uint64_t>(gw) * static_cast<std::uint64_t>(num_bins);
+          static_cast<std::uint64_t>(w.global_warp_id()) *
+          static_cast<std::uint64_t>(num_bins);
 
-      for (std::uint32_t seq = gw; seq < block.num_seqs; seq += total_warps) {
+      for (std::uint32_t seq = rank; seq < block.num_seqs;
+           seq += total_warps) {
         // Warp-uniform loads of the sequence extent (broadcast access).
         LaneArray<std::uint32_t> uidx{};
         LaneArray<std::uint32_t> lo{};

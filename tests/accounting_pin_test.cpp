@@ -12,7 +12,9 @@
 // reduce-then-scan and stopped reading its input twice (K4's count scan
 // is part of the hit_filter row); the hit_sort and hit_filter rows again
 // when K4 began to sort the bins of up to 32 hits in registers as it
-// filters them, leaving K3 the longer bins.
+// filters them, leaving K3 the longer bins. Every row was re-taken when
+// the default grid became 64 bins per warp and K1 began to deal sequences
+// over its blocks first: the bins, and so every later kernel's work, moved.
 //
 // Read-only-cache hits and modeled time stay out: the cache is keyed on
 // host addresses, so they move with the heap layout. The sum of
@@ -111,19 +113,18 @@ const std::map<std::string, Counters>& pinned() {
       //  shared_ops, shared_conflict_passes, atomic_ops,
       //  atomic_serial_passes}
       {"bin_scan",
-       {9756, 264652, 776, 66832, 2316, 332, 33312, 1104, 1476, 10020, 0,
-        0}},
+       {5052, 136780, 392, 33424, 1160, 172, 16672, 556, 772, 5252, 0, 0}},
       {"hit_detection",
-       {162797, 2524558, 28773, 1172348, 212401, 11555, 760776, 78636, 15123,
-        8576, 11294, 9235}},
+       {161829, 2487694, 28773, 1172348, 212401, 11356, 735392, 75585, 14931,
+        8576, 11393, 10538}},
       {"hit_filter",
-       {84077, 2474969, 3410, 512080, 18752, 3832, 237528, 10324, 68, 516, 0,
+       {78431, 2336317, 2969, 500848, 17598, 3301, 235480, 9855, 68, 516, 0,
         0}},
       {"hit_sort",
-       {5125, 158879, 83, 17320, 550, 83, 17320, 603, 578, 462, 0, 0}},
+       {23098, 694498, 420, 69600, 2249, 420, 69600, 2492, 2108, 992, 0, 0}},
       {"ungapped_extension",
-       {484547, 10499291, 43137, 2899047, 101649, 396, 1776, 408, 43081,
-        113309, 0, 0}},
+       {493056, 10501307, 43856, 2899047, 101408, 438, 1776, 444, 43803,
+        113999, 0, 0}},
   };
   return values;
 }

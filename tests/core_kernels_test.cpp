@@ -8,7 +8,9 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include "bio/generator.hpp"
 #include "bio/pssm.hpp"
@@ -80,8 +82,7 @@ struct PipelineFixture {
 
 core::Config small_kernel_config() {
   core::Config config;
-  config.detection_blocks = 2;
-  config.detection_block_threads = 128;
+  config.detection_blocks = 1;  // 8 warps
   return config;
 }
 
@@ -154,6 +155,78 @@ TEST(DetectionKernel, BinAssignmentRespectsDiagonalModulo) {
                 bin_in_warp);
     }
   }
+}
+
+TEST(DetectionGrid, DefaultIsOneBlockPerSmWithinTheOldResidentGrid) {
+  // A later default cannot grow the resident grid (and with it peak RSS)
+  // past the old 64 warps x 128 bins x 256 slots unnoticed.
+  const core::Config config;
+  EXPECT_EQ(config.detection_blocks, simt::DeviceSpec{}.num_sms);
+  EXPECT_LE(BinGrid::slot_count(config.detection_warps(),
+                                config.num_bins_per_warp,
+                                static_cast<std::uint32_t>(config.bin_capacity)),
+            std::size_t{64} * 128 * 256);
+}
+
+TEST(DetectionGrid, DealsSequencesOverBlocksFirst) {
+  // As many sequences as the default grid has blocks: each lands in warp 0
+  // of its own block, so every SM detects hits. Bins and KernelStats are
+  // the same whether the blocks run serially or SM-sharded.
+  const core::Config config;
+  const auto blocks = static_cast<std::size_t>(config.detection_blocks);
+  const int warps_per_block = core::kDetectionBlockThreads / simt::kWarpSize;
+  PipelineFixture fx(127, blocks, 331);
+  ASSERT_EQ(fx.db.size(), blocks);
+  BinGrid bins(config.detection_warps(), config.num_bins_per_warp, 1024);
+
+  std::vector<std::vector<std::uint64_t>> runs;
+  std::vector<simt::KernelStats> stats;
+  for (const int workers : {1, 4}) {
+    simt::Engine engine;
+    engine.set_workers(workers);
+    bins.rearm(1024);
+    ASSERT_FALSE(core::launch_hit_detection(engine, config, fx.device_query,
+                                            fx.device_block, bins)
+                     .overflowed);
+    stats.push_back(engine.profile().at(core::kKernelDetection));
+
+    std::vector<std::uint64_t> contents;  // each bin's count, then its hits
+    std::vector<std::size_t> per_block(blocks, 0);
+    for (std::size_t b = 0; b < bins.total_bins(); ++b) {
+      const auto warp = static_cast<int>(b) / bins.num_bins;
+      contents.push_back(bins.counts[b]);
+      for (std::uint32_t i = 0; i < bins.counts[b]; ++i) {
+        const std::uint64_t packed = bins.slots[bins.slot_index(b, i)];
+        contents.push_back(packed);
+        EXPECT_EQ(warp % warps_per_block, 0) << "bin " << b;
+        EXPECT_EQ(core::hit_seq(packed),
+                  static_cast<std::uint32_t>(warp / warps_per_block))
+            << "bin " << b;
+        ++per_block[static_cast<std::size_t>(warp / warps_per_block)];
+      }
+    }
+    for (std::size_t blk = 0; blk < blocks; ++blk)
+      EXPECT_GT(per_block[blk], 0u) << "block " << blk << " found no hits";
+    runs.push_back(std::move(contents));
+  }
+  EXPECT_EQ(runs[0], runs[1]);
+  const simt::KernelStats& a = stats[0];
+  const simt::KernelStats& b = stats[1];
+  EXPECT_EQ(a.num_blocks, blocks);
+  EXPECT_EQ(std::tie(a.vec_ops, a.active_lane_sum, a.ld_requests,
+                     a.ld_bytes_requested, a.ld_transactions, a.st_requests,
+                     a.st_bytes_requested, a.st_transactions, a.rocache_hits,
+                     a.rocache_misses, a.shared_ops, a.shared_conflict_passes,
+                     a.atomic_ops, a.atomic_serial_passes, a.num_blocks,
+                     a.shared_bytes, a.occupancy_weight),
+            std::tie(b.vec_ops, b.active_lane_sum, b.ld_requests,
+                     b.ld_bytes_requested, b.ld_transactions, b.st_requests,
+                     b.st_bytes_requested, b.st_transactions, b.rocache_hits,
+                     b.rocache_misses, b.shared_ops, b.shared_conflict_passes,
+                     b.atomic_ops, b.atomic_serial_passes, b.num_blocks,
+                     b.shared_bytes, b.occupancy_weight));
+  EXPECT_EQ(a.occupancy, b.occupancy);
+  EXPECT_EQ(a.time_ms, b.time_ms);
 }
 
 /// K4's flat list against the host reference: compact survivors, segment
